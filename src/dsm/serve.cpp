@@ -572,7 +572,11 @@ ServeResult serveTcp(const ServeConfig& cfg,
   for (;;) {
     sleepMs(5);
     failIfBroken();
-    if (stop != nullptr && *stop != 0) break;
+    // The flag may be set from another thread, not only from a signal
+    // handler on this one, so it is read as a (relaxed) atomic.
+    if (stop != nullptr && __atomic_load_n(stop, __ATOMIC_RELAXED) != 0) {
+      break;
+    }
     if (cfg.once && allLoadDone() && quietAndBalanced()) {
       sleepMs(10);
       if (allLoadDone() && quietAndBalanced()) break;  // stable sample

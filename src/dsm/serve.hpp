@@ -101,7 +101,9 @@ struct ServePorts {
 /// TCP serve.  Binds all listeners up front (publishing bound ports via
 /// `ports`, which may be null), serves until the load session completes
 /// (`cfg.once`) or `*stop` becomes nonzero (SIGINT handler sets it; may
-/// be null), then drains, FINs and returns the verdict.
+/// be null), then drains, FINs and returns the verdict.  `*stop` is read
+/// with a relaxed atomic load; a writer on another thread must store it
+/// atomically too (`__atomic_store_n`).
 [[nodiscard]] ServeResult serveTcp(const ServeConfig& cfg,
                                    const volatile std::sig_atomic_t* stop,
                                    ServePorts* ports);

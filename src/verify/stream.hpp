@@ -38,13 +38,16 @@
 // allocations once its high-water footprint is reached.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <new>
 #include <optional>
 #include <set>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -71,6 +74,77 @@ using PoolUMap =
 template <class T>
 using PoolMultiset =
     std::multiset<T, std::less<T>, common::PoolAllocator<T>>;
+
+/// A FIFO of fixed-size chunks drawn from a PoolResource.  A pooled
+/// deque differs only by its node map: a deep queue's map outgrows what
+/// the pool serves, and clear() leaves the map's start wherever it
+/// drifted, so a rerun may reallocate the map at peak depth.  Here every
+/// allocation is a chunk the pool recycles, and queues sharing a pool
+/// reuse each other's chunks, so a rerun of the same stream allocates
+/// nothing and the memory is that of the deque.
+template <class T>
+class PoolFifo {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                std::is_trivially_destructible_v<T>);
+
+ public:
+  explicit PoolFifo(common::PoolResource* pool) : pool_(pool) {}
+  PoolFifo(const PoolFifo&) = delete;
+  PoolFifo& operator=(const PoolFifo&) = delete;
+  ~PoolFifo() { clear(); }
+
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] const T& front() const { return head_->items[headIdx_]; }
+  void push_back(const T& value) {
+    if (tail_ == nullptr || tailIdx_ == kPerChunk) {
+      Chunk* c = ::new (pool_->allocate(sizeof(Chunk))) Chunk;
+      (tail_ == nullptr ? head_ : tail_->next) = c;
+      tail_ = c;
+      tailIdx_ = 0;
+    }
+    tail_->items[tailIdx_++] = value;
+    ++size_;
+  }
+  void pop_front() {
+    if (--size_ == 0) {
+      headIdx_ = 0;  // the last element was in the tail chunk: reuse it
+      tailIdx_ = 0;
+    } else if (++headIdx_ == kPerChunk) {
+      Chunk* next = head_->next;
+      pool_->deallocate(head_, sizeof(Chunk));
+      head_ = next;
+      headIdx_ = 0;
+    }
+  }
+  void clear() {
+    while (head_ != nullptr) {
+      Chunk* next = head_->next;
+      pool_->deallocate(head_, sizeof(Chunk));
+      head_ = next;
+    }
+    tail_ = nullptr;
+    headIdx_ = 0;
+    tailIdx_ = 0;
+    size_ = 0;
+  }
+
+ private:
+  /// About 512 B per chunk, the node size of a libstdc++ deque.
+  static constexpr std::size_t kPerChunk = (512 - sizeof(void*)) / sizeof(T);
+  static_assert(kPerChunk > 0);
+  struct Chunk {
+    Chunk* next = nullptr;
+    T items[kPerChunk];
+  };
+
+  common::PoolResource* pool_;
+  Chunk* head_ = nullptr;
+  Chunk* tail_ = nullptr;
+  std::size_t headIdx_ = 0;  ///< front() within head_
+  std::size_t tailIdx_ = 0;  ///< next free slot within tail_
+  std::size_t size_ = 0;
+};
 
 /// Base of every streaming checker: an observer that accumulates a
 /// CheckReport.  finish() flushes state that can only be judged at
@@ -276,11 +350,10 @@ class StreamSequentialConsistency final : public StreamChecker {
 
  private:
   struct ProcStream {
-    explicit ProcStream(common::PoolResource* pool)
-        : pending(common::PoolAllocator<proto::OpRecord>(pool)) {}
+    explicit ProcStream(common::PoolResource* pool) : pending(pool) {}
     bool heard = false;     ///< emitted at least one op this stream
     Timestamp lastArrival;  ///< newest ts seen; future ops are above it
-    PoolDeque<proto::OpRecord> pending;  ///< arrived, not yet merge-released
+    PoolFifo<proto::OpRecord> pending;  ///< arrived, not yet merge-released
   };
   struct StoreCell {
     bool has = false;

@@ -95,7 +95,7 @@ TEST(ServeTcp, SigintStopDrainsToCleanVerdict) {
   dsm::ServeResult r;
   std::thread server([&] { r = dsm::serveTcp(cfg, &stop, &ports); });
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  stop = 1;
+  __atomic_store_n(&stop, 1, __ATOMIC_RELAXED);  // serveTcp reads it atomically
   server.join();
   EXPECT_TRUE(r.ok()) << r.report.summary();
   EXPECT_TRUE(r.drained);

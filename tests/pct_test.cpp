@@ -18,6 +18,8 @@
 //     (kGolden predates this mode and must not grow).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ios>
 #include <set>
 #include <string>
 #include <vector>
@@ -128,12 +130,12 @@ TEST(Pct, ChangePointsReshuffleWithinOneRun) {
 
 // -- full-system seed-equivalence pins ---------------------------------------
 //
-// Captured from this mode's first implementation with
-// `sim_throughput --hashes` (the pct rows).  Same discipline as kGolden in
-// seed_equiv_test.cpp: 20 seeded sub-runs per cell, full trace text +
-// outcome + NetStats + verdicts folded into one hash.  Any change to the
-// Pct scheduling (priority draws, change-point cadence, floor clamping)
-// flips these; regenerate only for intentional behavior changes.
+// Captured from this mode's first implementation.  Same discipline as
+// kGolden in seed_equiv_test.cpp: 20 seeded sub-runs per cell, full trace
+// text + outcome + NetStats + verdicts folded into one hash.  Any change to
+// the Pct scheduling (priority draws, change-point cadence, floor clamping)
+// flips these; re-pin only for intentional behavior changes, from the
+// actual fingerprint the failing cell prints.
 
 struct PctGoldenCell {
   workload::Kind kind;
@@ -168,10 +170,12 @@ class PctSeedEquivCell : public ::testing::TestWithParam<PctGoldenCell> {};
 TEST_P(PctSeedEquivCell, ByteIdenticalToFirstImplementation) {
   const PctGoldenCell& g = GetParam();
   const lcdc::testing::MatrixCell cell{g.kind, net::Network::Mode::Pct};
-  EXPECT_EQ(lcdc::testing::cellFingerprint(cell, kSeedsPerCell), g.hash)
+  const std::uint64_t actual =
+      lcdc::testing::cellFingerprint(cell, kSeedsPerCell);
+  EXPECT_EQ(actual, g.hash)
       << "pct schedule diverged for kind=" << workload::toString(g.kind)
-      << "; if the behavior change is intentional, regenerate pins with "
-         "`sim_throughput --hashes`";
+      << "; if the behavior change is intentional, pin that value: 0x"
+      << std::hex << actual;
 }
 
 std::string pctCellName(const ::testing::TestParamInfo<PctGoldenCell>& i) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -36,14 +37,19 @@ struct SweepParam {
   std::uint64_t seed;
 };
 
-std::string paramName(const testing::TestParamInfo<SweepParam>& info) {
-  return std::string(info.param.name) + "_p" +
-         std::to_string(info.param.procs) + "b" +
-         std::to_string(info.param.blocks) + "c" +
-         std::to_string(info.param.capacity) +
-         (info.param.putShared ? "_ps" : "_nops") + "_s" +
-         std::to_string(info.param.seed);
+std::string sweepLabel(const SweepParam& p) {
+  return std::string(p.name) + "_p" + std::to_string(p.procs) + "b" +
+         std::to_string(p.blocks) + "c" + std::to_string(p.capacity) +
+         (p.putShared ? "_ps" : "_nops") + "_s" + std::to_string(p.seed);
 }
+
+std::string paramName(const testing::TestParamInfo<SweepParam>& info) {
+  return sweepLabel(info.param);
+}
+
+// Prints the label instead of the raw bytes, which hold a pointer and so
+// would put an address into every discovered test name.
+void PrintTo(const SweepParam& p, std::ostream* os) { *os << sweepLabel(p); }
 
 class ProtocolSweep : public testing::TestWithParam<SweepParam> {};
 

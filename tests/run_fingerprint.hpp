@@ -7,9 +7,6 @@
 // matrix of these hashes captured from the original (pre-calendar-queue,
 // pre-pooling) engine; any hot-path change that alters a single delivered
 // message, Lamport stamp or verdict flips the hash.
-//
-// Shared between tests/seed_equiv_test.cpp and bench/sim_throughput.cpp
-// (the bench's --hashes mode regenerates the matrix for re-pinning).
 #pragma once
 
 #include <cstdint>
@@ -179,7 +176,7 @@ inline std::vector<MatrixCell> fingerprintMatrix() {
 /// randomized-priority schedule.  A separate table on purpose — kGolden's
 /// pins predate the Pct mode and must not grow; the Pct pins live in
 /// tests/pct_test.cpp and were captured from the mode's first
-/// implementation (`sim_throughput --hashes` prints both tables).
+/// implementation.
 inline std::vector<MatrixCell> pctFingerprintMatrix() {
   std::vector<MatrixCell> cells;
   for (const MatrixCell& cell : fingerprintMatrix()) {

@@ -3,18 +3,19 @@
 //
 // The golden hashes below were captured from the pre-optimization engine
 // (before the calendar queue, envelope pooling, and SmallVector message
-// fields) by running `bench/sim_throughput --hashes` at that commit.  Each
-// value folds 20 seeded sub-runs of one (workload kind, network mode) cell:
-// full trace text, run outcome, NetStats, and checker verdicts — see
-// tests/run_fingerprint.hpp for exactly what is hashed.
+// fields).  Each value folds 20 seeded sub-runs of one (workload kind,
+// network mode) cell: full trace text, run outcome, NetStats, and checker
+// verdicts — see tests/run_fingerprint.hpp for exactly what is hashed.
 //
 // If a hot-path change alters a single delivered message, Lamport stamp,
 // random-latency draw, or verdict anywhere in the matrix, the cell hash
-// flips and this suite names the kind/mode that diverged.  Regenerate pins
-// only for *intentional* behavior changes: `sim_throughput --hashes`.
+// flips and this suite names the kind/mode that diverged, with the actual
+// fingerprint.  Re-pin only for *intentional* behavior changes, by copying
+// that fingerprint into kGolden.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ios>
 #include <string>
 
 #include "run_fingerprint.hpp"
@@ -69,12 +70,14 @@ class SeedEquivCell : public ::testing::TestWithParam<GoldenCell> {};
 TEST_P(SeedEquivCell, ByteIdenticalToSeedEngine) {
   const GoldenCell& g = GetParam();
   const lcdc::testing::MatrixCell cell{g.kind, g.mode};
-  EXPECT_EQ(lcdc::testing::cellFingerprint(cell, kSeedsPerCell), g.hash)
+  const std::uint64_t actual =
+      lcdc::testing::cellFingerprint(cell, kSeedsPerCell);
+  EXPECT_EQ(actual, g.hash)
       << "engine diverged from the seed engine for kind="
       << workload::toString(g.kind) << " mode="
       << (g.mode == kFifo ? "fifo" : "random")
-      << "; if the behavior change is intentional, regenerate pins with "
-         "`sim_throughput --hashes`";
+      << "; if the behavior change is intentional, pin that value: 0x"
+      << std::hex << actual;
 }
 
 std::string cellName(const ::testing::TestParamInfo<GoldenCell>& info) {

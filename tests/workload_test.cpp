@@ -2,11 +2,18 @@
 // uniqueness (required by the SC replay), bounds, and mix calibration.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "workload/generators.hpp"
 
 namespace lcdc::workload {
+
+// Prints a GeneratorSuite parameter by name, so the discovered test names
+// are the same on every build.
+void PrintTo(Kind kind, std::ostream* os) { *os << toString(kind); }
+
 namespace {
 
 WorkloadConfig baseCfg() {
@@ -19,17 +26,11 @@ WorkloadConfig baseCfg() {
   return w;
 }
 
-using Maker = std::vector<Program> (*)(const WorkloadConfig&);
-
-std::vector<Program> hotDefault(const WorkloadConfig& c) {
-  return hotBlock(c);
-}
-
-class GeneratorSuite : public testing::TestWithParam<Maker> {};
+class GeneratorSuite : public testing::TestWithParam<Kind> {};
 
 TEST_P(GeneratorSuite, DeterministicFromConfig) {
-  const auto a = GetParam()(baseCfg());
-  const auto b = GetParam()(baseCfg());
+  const auto a = make(GetParam(), baseCfg());
+  const auto b = make(GetParam(), baseCfg());
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t p = 0; p < a.size(); ++p) {
     ASSERT_EQ(a[p].steps.size(), b[p].steps.size());
@@ -43,7 +44,7 @@ TEST_P(GeneratorSuite, DeterministicFromConfig) {
 }
 
 TEST_P(GeneratorSuite, StoreValuesAreGloballyUniqueAndNonZero) {
-  const auto programs = GetParam()(baseCfg());
+  const auto programs = make(GetParam(), baseCfg());
   std::set<Word> values;
   for (const auto& prog : programs) {
     for (const auto& s : prog.steps) {
@@ -58,7 +59,7 @@ TEST_P(GeneratorSuite, StoreValuesAreGloballyUniqueAndNonZero) {
 
 TEST_P(GeneratorSuite, AllStepsWithinBounds) {
   const WorkloadConfig cfg = baseCfg();
-  const auto programs = GetParam()(cfg);
+  const auto programs = make(GetParam(), cfg);
   EXPECT_EQ(programs.size(), cfg.numProcessors);
   for (const auto& prog : programs) {
     EXPECT_FALSE(prog.steps.empty());
@@ -69,16 +70,14 @@ TEST_P(GeneratorSuite, AllStepsWithinBounds) {
   }
 }
 
-std::string generatorName(const testing::TestParamInfo<Maker>& paramInfo) {
-  static const char* const names[] = {"uniform",    "hot",        "prodcons",
-                                      "migratory",  "falseshare", "readmostly"};
-  return names[paramInfo.index];
+std::string generatorName(const testing::TestParamInfo<Kind>& paramInfo) {
+  return toString(paramInfo.param);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllGenerators, GeneratorSuite,
-                         testing::Values(&uniformRandom, &hotDefault,
-                                         &producerConsumer, &migratory,
-                                         &falseSharing, &readMostly),
+                         testing::Values(Kind::Uniform, Kind::Hot,
+                                         Kind::ProdCons, Kind::Migratory,
+                                         Kind::FalseShare, Kind::ReadMostly),
                          generatorName);
 
 TEST(UniformRandom, MixRoughlyMatchesConfig) {

@@ -613,7 +613,9 @@ int cmdCampaign(const Args& args) {
 /// SIGINT flag for `lcdc serve`: the handler only sets it; the serve
 /// supervisor polls it and runs the graceful drain-then-FIN shutdown.
 volatile std::sig_atomic_t gStopServe = 0;
-extern "C" void onServeSigint(int) { gStopServe = 1; }
+extern "C" void onServeSigint(int) {
+  __atomic_store_n(&gStopServe, 1, __ATOMIC_RELAXED);
+}
 
 void printServeStats(const dsm::ServeResult& r, bool quiet) {
   std::uint64_t msgs = 0;
