@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
     pt.print();
     std::cout << "\n'visited B/state' counts everything the checker retains "
                  "per distinct state\n(flat-set slots, canonical encodings, "
-                 "parent/action arrays) — the quantity\n--mem-limit-mb "
+                 "per-id parent edges) — the quantity\n--mem-limit-mb "
                  "bounds.  The string-keyed engine this replaced held "
                  "~1 KiB/state\non the same workload (EXPERIMENTS.md S12).\n";
   }

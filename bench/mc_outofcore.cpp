@@ -154,7 +154,9 @@ int main(int argc, char** argv) {
   {
     TempDir dir("ckpt");
     mc::McConfig stopCfg = baseConfig(quick);
-    stopCfg.memLimitMb = quick ? 8 : 12;
+    // Both budgets stop mid-run: the quick depth-14 run at wave 12, the
+    // full run at wave 18 (the 2 MiB spill-writer allowance included).
+    stopCfg.memLimitMb = quick ? 6 : 12;
     stopCfg.checkpointDir = dir.path.string();
 
     bench::Table t({"phase", "states", "waves", "time (s)",

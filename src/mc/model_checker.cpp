@@ -14,6 +14,7 @@
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "common/arena.hpp"
 #include "common/expect.hpp"
@@ -70,6 +71,63 @@ Action unpackAction(std::uint64_t v) {
   a.req = static_cast<ReqType>((v >> 54) & 0x3);
   return a;
 }
+
+// -- paged per-id storage ----------------------------------------------------
+//
+// Per-id data lives in fixed pages that are appended only at wave
+// boundaries (single-threaded) and never moved or copied, so workers write
+// the slots of freshly claimed ids without locks.  Pages are allocated
+// uninitialized, so resident memory follows the ids actually assigned, not
+// the successor bound a wave reserved them for.
+
+template <typename T>
+class IdPages {
+  static_assert(std::is_trivially_default_constructible_v<T>);
+
+ public:
+  /// Small pages keep each boundary's growth step small next to tight
+  /// `--mem-limit-mb` budgets (96 KiB per page of 24-byte records).
+  static constexpr std::size_t kIdsPerPage = 4096;
+
+  /// Single-threaded: make every id below `ids` addressable.
+  void growTo(std::size_t ids) {
+    while (capacity() < ids) {
+      pages_.push_back(std::make_unique_for_overwrite<T[]>(kIdsPerPage));
+    }
+  }
+
+  [[nodiscard]] std::size_t capacity() const {
+    return pages_.size() * kIdsPerPage;
+  }
+
+  /// Page bytes once every id below `ids` is addressable.
+  [[nodiscard]] std::uint64_t bytesFor(std::size_t ids) const {
+    const std::size_t pages =
+        std::max(pages_.size(), (ids + kIdsPerPage - 1) / kIdsPerPage);
+    return static_cast<std::uint64_t>(pages) * kIdsPerPage * sizeof(T);
+  }
+
+  T& operator[](std::size_t id) {
+    return pages_[id / kIdsPerPage][id % kIdsPerPage];
+  }
+  const T& operator[](std::size_t id) const {
+    return pages_[id / kIdsPerPage][id % kIdsPerPage];
+  }
+
+ private:
+  std::vector<std::unique_ptr<T[]>> pages_;
+};
+
+/// Exact mode's record of a visited state: where its canonical encoding
+/// lives (in the encoding arena) and its packed parent edge.  Trivially
+/// constructible, so nothing writes a page before an id lands in it.
+struct IdRecord {
+  const std::byte* enc;
+  std::uint32_t len;
+  std::uint32_t parent;
+  std::uint64_t action;
+};
+static_assert(sizeof(IdRecord) == 24);
 
 /// Optional steady-clock span accumulator (perf timing is opt-in).
 class ScopedNanos {
@@ -130,25 +188,21 @@ class ParallelExplorer {
 
  private:
   /// A frontier entry: the world as a lossless arena blob plus its id in
-  /// the visited set.  `flightCount` feeds the per-wave successor upper
-  /// bound without deserializing.
+  /// the visited set.  `bound` is the exact number of successors a full
+  /// expansion generates (`successorBound`); the wave's sum sizes the
+  /// visited table and id pages without deserializing.
   struct FrontierRef {
     const std::byte* blob = nullptr;
     std::uint32_t len = 0;
     std::uint32_t id = 0;
-    std::uint32_t flightCount = 0;
+    std::uint32_t bound = 0;
   };
 
   /// A deserialized frontier state under expansion.
   struct Node {
     World w;
     std::uint32_t id = 0;
-  };
-
-  /// Where a visited state's canonical encoding lives (in encArena_).
-  struct EncRef {
-    const std::byte* ptr = nullptr;
-    std::uint32_t len = 0;
+    std::uint32_t bound = 0;
   };
 
   /// Seed of a counterexample: the leaf state plus (for violations thrown
@@ -183,6 +237,10 @@ class ParallelExplorer {
     /// spill file, the 2^32-id guard, ...), rethrown at the barrier so
     /// failures surface as exceptions instead of terminating a worker.
     std::exception_ptr error;
+    /// An id or claim went past what the wave's bounds allow (see
+    /// kNoIdSlot); the set's id-space error is then reported as the bound
+    /// overrun it is.
+    bool boundOverrun = false;
   };
 
   /// One wave's frontier when spilling: the sealed segments in frontier
@@ -190,7 +248,7 @@ class ParallelExplorer {
   struct WaveSegs {
     std::vector<SegmentInfo> segs;
     std::uint64_t records = 0;
-    std::uint64_t flightSum = 0;
+    std::uint64_t boundSum = 0;
   };
 
   /// Per-worker state: codecs, bump cursors into the shared arenas, and
@@ -252,34 +310,37 @@ class ParallelExplorer {
 
   static constexpr std::uint32_t kNoParent = 0xFFFFFFFEu;
 
-  /// Grow the per-id arrays (single-threaded, wave boundary only) so
-  /// every id this wave can assign has a slot; workers then write their
-  /// freshly claimed slots without further synchronization.  Exact mode
-  /// keeps encodings + parent edges; compact mode keeps only the
-  /// per-id fingerprint, and only while checkpointing (the visited log
-  /// needs fingerprints in id order); bitstate keeps nothing per id.
-  void growIdArrays(std::size_t needed) {
+  /// Grow the per-id pages (single-threaded, wave boundary only) so every
+  /// id this wave can assign has a slot; workers then write their freshly
+  /// claimed slots without further synchronization.  Exact mode keeps an
+  /// `IdRecord` per id; compact mode keeps only the per-id fingerprint,
+  /// and only while checkpointing (the visited log needs fingerprints in
+  /// id order); bitstate keeps nothing per id.
+  void growIdPages(std::size_t needed) {
     if (mode_ == VisitedMode::Exact) {
-      if (needed <= encs_.size()) return;
-      const std::size_t target = std::max(needed, encs_.size() * 2);
-      encs_.reserve(target);
-      parents_.reserve(target);
-      actions_.reserve(target);
-      encs_.resize(needed);
-      parents_.resize(needed);
-      actions_.resize(needed);
+      records_.growTo(needed);
     } else if (mode_ == VisitedMode::Compact && checkpointing_) {
-      if (needed <= fpsById_.size()) return;
-      fpsById_.reserve(std::max(needed, fpsById_.size() * 2));
-      fpsById_.resize(needed);
+      fpsById_.growTo(needed);
     }
+  }
+
+  /// Bytes of the per-id pages once they address `ids` ids.
+  [[nodiscard]] std::uint64_t idPageBytes(std::size_t ids) const {
+    if (mode_ == VisitedMode::Exact) return records_.bytesFor(ids);
+    if (mode_ == VisitedMode::Compact && checkpointing_) {
+      return fpsById_.bytesFor(ids);
+    }
+    return 0;
   }
 
   [[nodiscard]] bool encEquals(std::uint32_t payload,
                                const std::vector<std::byte>& enc) const {
-    const EncRef& e = encs_[payload];
-    return e.len == enc.size() &&
-           std::memcmp(e.ptr, enc.data(), e.len) == 0;
+    // The placeholder a refused insert publishes (kNoIdSlot) names no
+    // record; a concurrent prober of that slot just keeps probing.
+    if (payload >= records_.capacity()) return false;
+    const IdRecord& r = records_[payload];
+    return r.len == enc.size() &&
+           std::memcmp(r.enc, enc.data(), r.len) == 0;
   }
 
   /// Roll the chunk's open spill segment into its sealed list.
@@ -295,9 +356,19 @@ class ParallelExplorer {
   /// the following wave.
   static constexpr std::uint64_t kSegmentRecordCap = 1u << 16;
 
+  /// An id past the pages grown for this wave, or a bitstate claim past
+  /// the size the claim table was reserved for (an understated successor
+  /// bound; only a corrupt checkpoint can carry one), is never granted.
+  /// `assign` hands the set an out-of-range payload instead, and the set
+  /// publishes a placeholder before throwing SimError, so concurrent
+  /// probers of the slot never spin on an unpublished payload.
+  static constexpr std::uint32_t kNoIdSlot =
+      FlatFingerprintSet::kPendingPayload;
+
   /// Insert a state already canonically encoded in `enc`; on winning,
-  /// remember it according to the visited mode and append the world's
-  /// frontier blob to `out.next` (in RAM) or the chunk's spill segment.
+  /// remember it according to the visited mode and, unless this is the
+  /// terminal wave, append the world's frontier blob to `out.next` (in
+  /// RAM) or the chunk's spill segment.
   void recordEncoded(const World& s, std::uint32_t parent, const Action& a,
                      WorkerCtx& ctx, ChunkOut& out) {
     const std::uint64_t fp =
@@ -314,12 +385,15 @@ class ParallelExplorer {
             [&]() {
               const std::uint32_t nid =
                   nextId_.fetch_add(1, std::memory_order_relaxed);
+              if (nid >= records_.capacity()) {
+                out.boundOverrun = true;
+                return kNoIdSlot;
+              }
               std::byte* p = ctx.encRef.alloc(ctx.enc.size());
               std::memcpy(p, ctx.enc.data(), ctx.enc.size());
-              encs_[nid] =
-                  EncRef{p, static_cast<std::uint32_t>(ctx.enc.size())};
-              parents_[nid] = parent;
-              actions_[nid] = packAction(a);
+              records_[nid] =
+                  IdRecord{p, static_cast<std::uint32_t>(ctx.enc.size()),
+                           parent, packAction(a)};
               return nid;
             });
         out.perf.noteProbes(res.probes);
@@ -331,7 +405,13 @@ class ParallelExplorer {
             [&]() {
               const std::uint32_t nid =
                   nextId_.fetch_add(1, std::memory_order_relaxed);
-              if (checkpointing_) fpsById_[nid] = fp;
+              if (checkpointing_) {
+                if (nid >= fpsById_.capacity()) {
+                  out.boundOverrun = true;
+                  return kNoIdSlot;
+                }
+                fpsById_[nid] = fp;
+              }
               return nid;
             });
         out.perf.noteProbes(res.probes);
@@ -349,7 +429,13 @@ class ParallelExplorer {
           const FlatFingerprintSet::InsertResult res = waveClaim_->insert(
               fp, [](std::uint32_t) { return true; },
               [&]() {
-                return claimNext_.fetch_add(1, std::memory_order_relaxed);
+                const std::uint32_t claim =
+                    claimNext_.fetch_add(1, std::memory_order_relaxed);
+                if (claim >= claimLimit_) {
+                  out.boundOverrun = true;
+                  return kNoIdSlot;
+                }
+                return claim;
               });
           out.perf.noteProbes(res.probes);
           fresh = res.inserted;
@@ -359,6 +445,8 @@ class ParallelExplorer {
     if (!fresh) return;
     out.perf.storedStates += 1;
     out.perf.storedEncodingBytes += ctx.enc.size();
+    if (!keepSuccessors_) return;  // terminal wave: nothing loads the world
+    const std::uint32_t bound = successorBound(s);
     {
       ScopedNanos t(out.perf.worldSaveNanos, ctx.timing);
       ctx.wcodec.save(s, ctx.blob);
@@ -369,17 +457,14 @@ class ParallelExplorer {
             out.segBase + "-" + std::to_string(out.segSeq++) + ".seg",
             digest_);
       }
-      out.writer->add(id, static_cast<std::uint32_t>(s.flight.size()),
-                      ctx.blob.data(), ctx.blob.size());
+      out.writer->add(id, bound, ctx.blob.data(), ctx.blob.size());
       if (out.writer->records() >= kSegmentRecordCap) sealChunk(out);
       return;
     }
     std::byte* bp = ctx.nextRef.alloc(ctx.blob.size());
     std::memcpy(bp, ctx.blob.data(), ctx.blob.size());
-    out.next.push_back(FrontierRef{bp,
-                                   static_cast<std::uint32_t>(ctx.blob.size()),
-                                   id,
-                                   static_cast<std::uint32_t>(s.flight.size())});
+    out.next.push_back(FrontierRef{
+        bp, static_cast<std::uint32_t>(ctx.blob.size()), id, bound});
   }
 
   void record(const World& s, std::uint32_t parent, const Action& a,
@@ -408,9 +493,9 @@ class ParallelExplorer {
   Schedule reconstructSchedule(const CexSeed& seed) {
     Schedule rev;
     std::uint32_t cur = seed.leaf;
-    while (parents_[cur] != kNoParent) {
-      rev.push_back(unpackAction(actions_[cur]));
-      cur = parents_[cur];
+    while (records_[cur].parent != kNoParent) {
+      rev.push_back(unpackAction(records_[cur].action));
+      cur = records_[cur].parent;
     }
     std::reverse(rev.begin(), rev.end());
     if (seed.extra) rev.push_back(*seed.extra);
@@ -669,18 +754,107 @@ class ParallelExplorer {
     return false;
   }
 
-  void issue(const World& w, NodeId p, BlockId b, ReqType req,
-             std::uint32_t parent, WorkerCtx& ctx, ChunkOut& out) {
+  /// Call `fn` with every successor action of `w`, in expansion order:
+  /// (a) deliver any in-flight message (the unordered network); (b) any
+  /// processor issues any legal request or local eviction; (c) under
+  /// modelData, a writer bumps the block's bounded version counter (word
+  /// 0, mod 4) — the abstraction of "any store".  This one enumeration
+  /// drives both `expandState` and the stored `successorBound`.
+  template <typename Fn>
+  void forEachAction(const World& w, Fn&& fn) const {
+    for (std::size_t i = 0; i < w.flight.size(); ++i) {
+      const Flight& f = w.flight[i];
+      Action a;
+      a.kind = Action::Kind::Deliver;
+      a.flightIndex = static_cast<std::uint32_t>(i);
+      a.dst = f.dst;
+      a.msgType = f.msg.type;
+      a.block = f.msg.block;
+      fn(a);
+    }
+    const auto local = [&](Action::Kind kind, NodeId p, BlockId b,
+                           ReqType req) {
+      Action a;
+      a.kind = kind;
+      a.proc = p;
+      a.block = b;
+      a.req = req;
+      fn(a);
+    };
+    for (NodeId p = 0; p < cfg_.numProcessors; ++p) {
+      for (BlockId b = 0; b < cfg_.numBlocks; ++b) {
+        const proto::CacheController& cache = w.caches[p];
+        if (cache.requestBlocked(b)) continue;
+        const CacheState cs = cache.state(b);
+        if (cs == CacheState::Invalid) {
+          local(Action::Kind::Issue, p, b, ReqType::GetShared);
+          local(Action::Kind::Issue, p, b, ReqType::GetExclusive);
+        } else if (cs == CacheState::ReadOnly) {
+          local(Action::Kind::Issue, p, b, ReqType::Upgrade);
+          if (cfg_.allowEvictions && cfg_.proto.putSharedEnabled) {
+            local(Action::Kind::Evict, p, b, ReqType{});
+          }
+        } else if (cfg_.allowEvictions) {
+          local(Action::Kind::Evict, p, b, ReqType{});
+        }
+      }
+    }
+    if (cfg_.modelData) {
+      for (NodeId p = 0; p < cfg_.numProcessors; ++p) {
+        for (BlockId b = 0; b < cfg_.numBlocks; ++b) {
+          const proto::Line* line = w.caches[p].findLine(b);
+          if (line != nullptr && !line->data.empty() &&
+              w.caches[p].canBind(b, OpKind::Store)) {
+            local(Action::Kind::Store, p, b, ReqType{});
+          }
+        }
+      }
+    }
+  }
+
+  /// The exact number of successors a full expansion of `w` generates.
+  [[nodiscard]] std::uint32_t successorBound(const World& w) const {
+    std::uint32_t n = 0;
+    forEachAction(w, [&](const Action&) { n += 1; });
+    return n;
+  }
+
+  /// Apply one enumerated action to a copy of `w` and record the
+  /// successor (a delivery that raises a protocol violation is counted
+  /// as a transition but records nothing).
+  void applyAction(const World& w, const Action& a, std::uint32_t parent,
+                   WorkerCtx& ctx, ChunkOut& out) {
     World s = w;
-    proto::Outbox ob;
-    s.caches[p].issueRequest(b, req, cfg_.numProcessors, ob);
-    absorb(s, p, ob);
-    Action a;
-    a.kind = Action::Kind::Issue;
-    a.proc = p;
-    a.block = b;
-    a.req = req;
     out.transitions += 1;
+    proto::Outbox ob;
+    switch (a.kind) {
+      case Action::Kind::Deliver: {
+        const Flight f = s.flight[a.flightIndex];
+        s.flight.erase(s.flight.begin() +
+                       static_cast<std::ptrdiff_t>(a.flightIndex));
+        if (!deliver(s, f, parent, a, out)) return;
+        break;
+      }
+      case Action::Kind::Issue:
+        s.caches[a.proc].issueRequest(a.block, a.req, cfg_.numProcessors,
+                                      ob);
+        absorb(s, a.proc, ob);
+        break;
+      case Action::Kind::Evict:
+        if (s.caches[a.proc].state(a.block) == CacheState::ReadOnly) {
+          s.caches[a.proc].putShared(a.block);
+        } else {
+          s.caches[a.proc].writeback(a.block, cfg_.numProcessors, ob);
+          absorb(s, a.proc, ob);
+        }
+        break;
+      case Action::Kind::Store: {
+        proto::CacheController& cache = s.caches[a.proc];
+        const Word v = (cache.findLine(a.block)->data[0] + 1) & 3;
+        (void)cache.bind(a.block, OpKind::Store, 0, v);
+        break;
+      }
+    }
     record(s, parent, a, ctx, out);
   }
 
@@ -689,80 +863,14 @@ class ParallelExplorer {
       out.ampleStates += 1;
       return;
     }
-    const World& w = n.w;
-    // (a) Deliver any in-flight message (the unordered network).
-    for (std::size_t i = 0; i < w.flight.size(); ++i) {
-      World s = w;
-      const Flight f = s.flight[i];
-      s.flight.erase(s.flight.begin() + static_cast<std::ptrdiff_t>(i));
-      Action a;
-      a.kind = Action::Kind::Deliver;
-      a.flightIndex = static_cast<std::uint32_t>(i);
-      a.dst = f.dst;
-      a.msgType = f.msg.type;
-      a.block = f.msg.block;
-      out.transitions += 1;
-      if (deliver(s, f, n.id, a, out)) {
-        record(s, n.id, a, ctx, out);
-      }
-    }
-    // (b) Any processor issues any legal request / local action.
-    for (NodeId p = 0; p < cfg_.numProcessors; ++p) {
-      for (BlockId b = 0; b < cfg_.numBlocks; ++b) {
-        const proto::CacheController& cache = w.caches[p];
-        if (cache.requestBlocked(b)) continue;
-        const CacheState cs = cache.state(b);
-        if (cs == CacheState::Invalid) {
-          issue(w, p, b, ReqType::GetShared, n.id, ctx, out);
-          issue(w, p, b, ReqType::GetExclusive, n.id, ctx, out);
-        } else if (cs == CacheState::ReadOnly) {
-          issue(w, p, b, ReqType::Upgrade, n.id, ctx, out);
-          if (cfg_.allowEvictions && cfg_.proto.putSharedEnabled) {
-            World s = w;
-            s.caches[p].putShared(b);
-            Action a;
-            a.kind = Action::Kind::Evict;
-            a.proc = p;
-            a.block = b;
-            out.transitions += 1;
-            record(s, n.id, a, ctx, out);
-          }
-        } else if (cfg_.allowEvictions) {
-          World s = w;
-          proto::Outbox ob;
-          s.caches[p].writeback(b, cfg_.numProcessors, ob);
-          absorb(s, p, ob);
-          Action a;
-          a.kind = Action::Kind::Evict;
-          a.proc = p;
-          a.block = b;
-          out.transitions += 1;
-          record(s, n.id, a, ctx, out);
-        }
-      }
-    }
-    // (c) modelData: a writer bumps the block's bounded version counter
-    // (word 0, mod 4) — the abstraction of "any store".
-    if (cfg_.modelData) {
-      for (NodeId p = 0; p < cfg_.numProcessors; ++p) {
-        for (BlockId b = 0; b < cfg_.numBlocks; ++b) {
-          const proto::Line* line = w.caches[p].findLine(b);
-          if (line == nullptr || line->data.empty() ||
-              !w.caches[p].canBind(b, OpKind::Store)) {
-            continue;
-          }
-          World s = w;
-          const Word v = (line->data[0] + 1) & 3;
-          (void)s.caches[p].bind(b, OpKind::Store, 0, v);
-          Action a;
-          a.kind = Action::Kind::Store;
-          a.proc = p;
-          a.block = b;
-          out.transitions += 1;
-          record(s, n.id, a, ctx, out);
-        }
-      }
-    }
+    const std::uint64_t before = out.transitions;
+    forEachAction(n.w, [&](const Action& a) {
+      applyAction(n.w, a, n.id, ctx, out);
+    });
+    // The stored bound sized this wave's visited table and id pages; a
+    // full expansion that generated anything else would outrun them.
+    LCDC_EXPECT(out.transitions - before == n.bound,
+                "full expansion disagrees with the stored successor bound");
   }
 
   void expandRange(const std::vector<FrontierRef>& frontier, std::size_t begin,
@@ -780,6 +888,7 @@ class ParallelExplorer {
           n.w = ctx.wcodec.load(ref.blob, ref.len);
         }
         n.id = ref.id;
+        n.bound = ref.bound;
         const bool violating = checkState(n, out);
         if (!violating) expandState(n, ctx, out);
       }
@@ -804,7 +913,7 @@ class ParallelExplorer {
       // a mismatch means the file or the checkpoint manifest was altered
       // after the seal.
       if (reader.records() != seg.records ||
-          reader.flightSum() != seg.flightSum ||
+          reader.boundSum() != seg.boundSum ||
           reader.payloadBytes() != seg.payloadBytes) {
         throw SimError(
             "spill segment header disagrees with its catalogue entry "
@@ -820,6 +929,15 @@ class ParallelExplorer {
           n.w = ctx.wcodec.load(r.blob, r.len);
         }
         n.id = static_cast<std::uint32_t>(r.id);
+        n.bound = r.bound;
+        // A record from disk is input: its bound must describe its world
+        // before it may be held to the expansion invariant.
+        if (successorBound(n.w) != n.bound) {
+          throw SimError(
+              "spill record's successor bound does not match its world "
+              "(corrupt segment): " +
+              seg.path);
+        }
         out.perf.spillBytesRead += r.len;
         const bool violating = checkState(n, out);
         if (!violating) expandState(n, ctx, out);
@@ -843,11 +961,7 @@ class ParallelExplorer {
   [[nodiscard]] std::uint64_t trackedBytesBase() const {
     std::uint64_t b = visited_.bytes() + encArena_.bytesReserved() +
                       waveArenas_[0].bytesReserved() +
-                      waveArenas_[1].bytesReserved() +
-                      encs_.capacity() * sizeof(EncRef) +
-                      parents_.capacity() * sizeof(std::uint32_t) +
-                      actions_.capacity() * sizeof(std::uint64_t) +
-                      fpsById_.capacity() * sizeof(std::uint64_t);
+                      waveArenas_[1].bytesReserved() + idPageBytes(0);
     if (bloom_) b += bloom_->bytes();
     if (waveClaim_) b += waveClaim_->bytes();
     return b;
@@ -859,7 +973,7 @@ class ParallelExplorer {
 
   /// What the tracked bytes will be AFTER this wave's boundary growth:
   /// visited-slab rehash (old + new slab live during the copy), bitstate
-  /// claim growth, id-array growth, and the spill write buffers the
+  /// claim growth, id-page growth, and the spill write buffers the
   /// workers are about to fill.  The memory-limit verdict tests this
   /// projection BEFORE reserving, so the growth transient itself can no
   /// longer overshoot `--mem-limit-mb` (it used to: only post-growth
@@ -873,16 +987,9 @@ class ParallelExplorer {
       b -= waveClaim_->bytes();
       b += waveClaim_->bytesAfterReserve(static_cast<std::size_t>(waveBound));
     }
-    const std::size_t idsNeeded = static_cast<std::size_t>(
-        nextId_.load(std::memory_order_relaxed) + waveBound);
-    if (mode_ == VisitedMode::Exact && idsNeeded > encs_.capacity()) {
-      b += (idsNeeded - encs_.capacity()) *
-           (sizeof(EncRef) + sizeof(std::uint32_t) + sizeof(std::uint64_t));
-    }
-    if (mode_ == VisitedMode::Compact && checkpointing_ &&
-        idsNeeded > fpsById_.capacity()) {
-      b += (idsNeeded - fpsById_.capacity()) * sizeof(std::uint64_t);
-    }
+    b -= idPageBytes(0);
+    b += idPageBytes(static_cast<std::size_t>(
+        nextId_.load(std::memory_order_relaxed) + waveBound));
     b += frontierCap * sizeof(FrontierRef);
     if (spill_) b += static_cast<std::uint64_t>(jobs) * kSpillWriterBudget;
     return b;
@@ -909,7 +1016,7 @@ class ParallelExplorer {
   void absorbSegs(ChunkOut& o, WaveSegs& next) {
     for (SegmentInfo& s : o.segs) {
       next.records += s.records;
-      next.flightSum += s.flightSum;
+      next.boundSum += s.boundSum;
       result_.perf.spillSegments += 1;
       result_.perf.spillBytesWritten += s.payloadBytes;
       next.segs.push_back(std::move(s));
@@ -932,7 +1039,7 @@ class ParallelExplorer {
     }
     w.segs.clear();
     w.records = 0;
-    w.flightSum = 0;
+    w.boundSum = 0;
   }
 
   /// Checkpoint at a wave boundary: append the not-yet-logged visited
@@ -949,8 +1056,8 @@ class ParallelExplorer {
     const std::uint64_t nid = nextId_.load(std::memory_order_relaxed);
     if (mode_ == VisitedMode::Exact) {
       for (std::uint64_t id = loggedRecords_; id < nid; ++id) {
-        visitedLog_->appendExact(encs_[id].ptr, encs_[id].len, parents_[id],
-                                 actions_[id]);
+        const IdRecord& r = records_[id];
+        visitedLog_->appendExact(r.enc, r.len, r.parent, r.action);
       }
     } else if (mode_ == VisitedMode::Compact) {
       for (std::uint64_t id = loggedRecords_; id < nid; ++id) {
@@ -1040,7 +1147,7 @@ class ParallelExplorer {
             "does not match nextId");
       }
       visited_.reserveFor(static_cast<std::size_t>(m.visitedLogRecords));
-      growIdArrays(static_cast<std::size_t>(m.nextId));
+      growIdPages(static_cast<std::size_t>(m.nextId));
       VisitedLogReader rd(cfg_.resumeDir + "/visited.log", m.visitedLogBytes);
       ArenaRef encRef(encArena_);
       std::vector<std::byte> buf;
@@ -1054,9 +1161,8 @@ class ParallelExplorer {
         }
         std::byte* p = encRef.alloc(buf.size());
         std::memcpy(p, buf.data(), buf.size());
-        encs_[id] = EncRef{p, static_cast<std::uint32_t>(buf.size())};
-        parents_[id] = parent;
-        actions_[id] = action;
+        records_[id] = IdRecord{p, static_cast<std::uint32_t>(buf.size()),
+                                parent, action};
         const std::uint64_t fp = fingerprintHash(buf.data(), buf.size());
         const FlatFingerprintSet::InsertResult res = visited_.insert(
             fp, [&](std::uint32_t payload) { return encEquals(payload, buf); },
@@ -1077,7 +1183,7 @@ class ParallelExplorer {
             "does not match nextId");
       }
       visited_.reserveFor(static_cast<std::size_t>(m.visitedLogRecords));
-      growIdArrays(static_cast<std::size_t>(m.nextId));
+      growIdPages(static_cast<std::size_t>(m.nextId));
       VisitedLogReader rd(cfg_.resumeDir + "/visited.log", m.visitedLogBytes);
       std::uint64_t fp = 0;
       std::uint64_t id = 0;
@@ -1108,7 +1214,7 @@ class ParallelExplorer {
     }
     for (const SegmentInfo& s : m.frontier) {
       wave.records += s.records;
-      wave.flightSum += s.flightSum;
+      wave.boundSum += s.boundSum;
       protected_.insert(fileBase(s.path));
     }
     wave.segs = m.frontier;
@@ -1127,9 +1233,11 @@ class ParallelExplorer {
   Arena waveArenas_[2];   ///< ping-pong frontier-blob arenas
   std::atomic<std::uint32_t> nextId_{0};
   std::uint32_t idWatermark_ = 0;  ///< POR proviso horizon (wave start)
-  std::vector<EncRef> encs_;
-  std::vector<std::uint32_t> parents_;
-  std::vector<std::uint64_t> actions_;
+  IdPages<IdRecord> records_;      ///< exact mode, one per state id
+  /// False for a terminal wave (state cap taken, or a depth stop that
+  /// writes no checkpoint): its successors are still deduplicated and
+  /// counted, but no world blob is saved, since no wave will load one.
+  bool keepSuccessors_ = true;
   McResult result_;
 
   // -- out-of-core state -------------------------------------------------
@@ -1140,9 +1248,11 @@ class ParallelExplorer {
   std::unique_ptr<BitstateFilter> bloom_;        ///< bitstate mode
   std::unique_ptr<FlatFingerprintSet> waveClaim_;  ///< bitstate, per wave
   std::atomic<std::uint32_t> claimNext_{0};
+  /// Claims this wave's bound allows (the claim table was sized for it).
+  std::uint64_t claimLimit_ = ~std::uint64_t{0};
   /// Compact + checkpointing: fingerprint per id, feeding the visited
   /// log in id order.
-  std::vector<std::uint64_t> fpsById_;
+  IdPages<std::uint64_t> fpsById_;
   std::unique_ptr<VisitedLogWriter> visitedLog_;
   std::uint64_t loggedRecords_ = 0;
   std::uint64_t visitedLogBytes_ = 0;
@@ -1159,13 +1269,6 @@ McResult ParallelExplorer::run() {
   ThreadPool pool(jobs);
   std::optional<CexSeed> cexSeed;
 
-  // Extra successors one expanded state can contribute beyond its
-  // deliveries: two issues per (processor, block), one eviction-ish local
-  // action folded into the same bound, plus a store under modelData.
-  const std::uint64_t issueBound =
-      static_cast<std::uint64_t>(cfg_.numProcessors) * cfg_.numBlocks *
-      (2 + (cfg_.modelData ? 1 : 0));
-
   std::size_t cur = 0;
   std::vector<FrontierRef> frontier;  // in-RAM frontier
   WaveSegs wave;                      // spilled frontier
@@ -1175,7 +1278,7 @@ McResult ParallelExplorer::run() {
   } else {
     // Seed the root (wave arena 0 / segment w0-c0 holds the first
     // frontier's blobs).
-    growIdArrays(16);
+    growIdPages(1);
     ChunkOut rootOut;
     if (spill_) rootOut.segBase = segBasePath(0, 0);
     std::unique_ptr<WorkerCtx> ctx = acquireCtx(0, waveArenas_[0]);
@@ -1217,17 +1320,18 @@ McResult ParallelExplorer::run() {
       break;
     }
 
-    // This wave's successor upper bound: the visited table and the id
-    // arrays may not grow mid-wave (the flat set must not rehash under
-    // concurrent inserts; workers index the id arrays without locks).
-    // The spilled path charges the whole wave's flight sum — an upper
-    // bound either way, and capacity never affects counts.
-    std::uint64_t waveBound = expandCount * issueBound;
+    // This wave's successor bound, the sum of its records' exact bounds:
+    // the visited table and the id pages may not grow mid-wave (the flat
+    // set must not rehash under concurrent inserts; workers index the id
+    // pages without locks).  The spilled path charges the whole wave's
+    // sum even when the state cap cuts it — an upper bound either way,
+    // and capacity never affects counts.
+    std::uint64_t waveBound = 0;
     if (spill_) {
-      waveBound += wave.flightSum;
+      waveBound = wave.boundSum;
     } else {
       for (std::uint64_t i = 0; i < expandCount; ++i) {
-        waveBound += frontier[static_cast<std::size_t>(i)].flightCount;
+        waveBound += frontier[static_cast<std::size_t>(i)].bound;
       }
     }
 
@@ -1249,16 +1353,25 @@ McResult ParallelExplorer::run() {
     if (mode_ == VisitedMode::Bitstate) {
       waveClaim_->reserveFor(static_cast<std::size_t>(waveBound));
       claimNext_.store(0, std::memory_order_relaxed);
+      claimLimit_ = waveBound;
     }
     const std::uint32_t baseId = nextId_.load(std::memory_order_relaxed);
-    growIdArrays(static_cast<std::size_t>(baseId) +
-                 static_cast<std::size_t>(waveBound));
+    growIdPages(static_cast<std::size_t>(baseId) +
+                static_cast<std::size_t>(waveBound));
 
     // Freeze the POR proviso horizon at the wave boundary.
     idWatermark_ = baseId;
 
-    Arena& nextArena = waveArenas_[1 - cur];
+    // Whether this wave is the last is known before it runs: the state
+    // cap was just taken, or it reaches `maxDepth`.  Its successors are
+    // loaded again only when a depth stop checkpoints them for a resume
+    // (a state-capped stop is terminal and writes no checkpoint).
     const std::uint64_t epoch = result_.wavesCompleted + 1;
+    const bool depthStop = cfg_.maxDepth != 0 && epoch >= cfg_.maxDepth;
+    keepSuccessors_ =
+        !result_.hitStateLimit && (!depthStop || checkpointing_);
+
+    Arena& nextArena = waveArenas_[1 - cur];
     std::vector<ChunkOut> outs;
     if (spill_) {
       // One task per source segment, with a record budget cutting the
@@ -1304,6 +1417,11 @@ McResult ParallelExplorer::run() {
     }
     pool.wait();
     for (ChunkOut& o : outs) {
+      if (o.boundOverrun) {
+        throw SimError(
+            "a wave generated more successors than its records' stored "
+            "bounds allow (corrupt checkpoint segment or manifest)");
+      }
       if (o.error) std::rethrow_exception(o.error);
     }
     if (mode_ == VisitedMode::Bitstate) {
@@ -1396,13 +1514,8 @@ McResult ParallelExplorer::run() {
     }
     result_.counterexample = std::move(cex);
   }
-  result_.visitedBytes =
-      visited_.bytes() + encArena_.bytesReserved() +
-      encs_.capacity() * sizeof(EncRef) +
-      parents_.capacity() * sizeof(std::uint32_t) +
-      actions_.capacity() * sizeof(std::uint64_t) +
-      fpsById_.capacity() * sizeof(std::uint64_t) +
-      (bloom_ ? bloom_->bytes() : 0);
+  result_.visitedBytes = visited_.bytes() + encArena_.bytesReserved() +
+                         idPageBytes(0) + (bloom_ ? bloom_->bytes() : 0);
   if (mode_ == VisitedMode::Compact) {
     const double n = static_cast<double>(result_.perf.storedStates);
     result_.omissionBound =

@@ -128,7 +128,8 @@ struct McConfig {
   std::uint64_t maxDepth = 0;
   /// Stop gracefully (MemLimit verdict, `McResult::memLimitHit`) at the
   /// next wave boundary once the explorer's tracked structures — visited
-  /// slabs, encoding/frontier arenas, edge arrays — exceed this many MiB.
+  /// slabs, encoding/frontier arenas, per-id record pages — exceed this
+  /// many MiB.
   /// 0 = unlimited.  Checked only between waves, so a run that stops here
   /// still reports exact, jobs-independent counts for the waves it did.
   std::uint64_t memLimitMb = 0;
@@ -206,12 +207,13 @@ struct McResult {
   /// Encode/insert/expand instrumentation (timing only with cfg.perf).
   McPerfCounters perf;
   /// End-of-run footprint of the visited structures: flat-set slabs +
-  /// canonical-encoding arena + parent/action/encoding-ref arrays.
+  /// canonical-encoding arena + per-id record pages (encoding reference
+  /// and parent edge).
   std::uint64_t visitedBytes = 0;
   /// Peak bytes reserved by the two ping-pong frontier-blob arenas.
   std::uint64_t frontierBytesPeak = 0;
   /// Peak of the tracked-bytes sum `--mem-limit-mb` bounds (visited
-  /// slabs, arenas, id arrays, spill buffers, bitstate array).
+  /// slabs, arenas, id pages, spill buffers, bitstate array).
   std::uint64_t trackedBytesPeak = 0;
   /// Process peak RSS (getrusage ru_maxrss) at the end of the run — the
   /// ground truth the tracked-bytes accounting approximates.

@@ -24,6 +24,9 @@ constexpr char kBloomMagic[8] = {'L', 'C', 'B', 'L', 'O', 'O', 'M', '1'};
 constexpr std::size_t kSpillHeaderBytes = 48;
 constexpr std::size_t kBloomHeaderBytes = 24;
 constexpr std::size_t kWriterFlushBytes = std::size_t{1} << 20;
+/// First manifest line.  v2 segment lines carry successor-bound sums
+/// (v1 carried in-flight message counts); a v1 manifest is refused.
+constexpr char kManifestHeader[] = "lcdc-mc-checkpoint v2";
 
 void putLE32(std::byte* p, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -144,16 +147,16 @@ SpillSegmentWriter::~SpillSegmentWriter() {
   if (!sealed_) std::remove(path_.c_str());  // abandon partial segment
 }
 
-void SpillSegmentWriter::add(std::uint64_t id, std::uint32_t flightCount,
+void SpillSegmentWriter::add(std::uint64_t id, std::uint32_t bound,
                              const std::byte* blob, std::size_t len) {
   using trace::codec::putU64;
   putU64(buf_, id);
-  putU64(buf_, flightCount);
+  putU64(buf_, bound);
   putU64(buf_, len);
   buf_.insert(buf_.end(), blob, blob + len);
   records_ += 1;
   payloadBytes_ += len;
-  flightSum_ += flightCount;
+  boundSum_ += bound;
   if (buf_.size() >= kWriterFlushBytes) flushBuf();
 }
 
@@ -176,7 +179,7 @@ SegmentInfo SpillSegmentWriter::seal() {
   putLE64(header + 16, digest_);
   putLE64(header + 24, records_);
   putLE64(header + 32, payloadBytes_);
-  putLE64(header + 40, flightSum_);
+  putLE64(header + 40, boundSum_);
   if (std::fseek(f_, 0, SEEK_SET) != 0 ||
       std::fwrite(header, 1, kSpillHeaderBytes, f_) != kSpillHeaderBytes ||
       std::fflush(f_) != 0) {
@@ -188,7 +191,7 @@ SegmentInfo SpillSegmentWriter::seal() {
   SegmentInfo info;
   info.path = path_;
   info.records = records_;
-  info.flightSum = flightSum_;
+  info.boundSum = boundSum_;
   info.payloadBytes = payloadBytes_;
   return info;
 }
@@ -220,7 +223,7 @@ SpillSegmentReader::SpillSegmentReader(const std::string& path,
   }
   records_ = getLE64(map_ + 24);
   payloadBytes_ = getLE64(map_ + 32);
-  flightSum_ = getLE64(map_ + 40);
+  boundSum_ = getLE64(map_ + 40);
   pos_ = kSpillHeaderBytes;
   if (payloadBytes_ > mapLen_) {
     throw SimError("spill segment truncated (payload past end): " + path);
@@ -236,7 +239,7 @@ bool SpillSegmentReader::next(Record& r) {
   if (read_ == records_) return false;
   trace::codec::Reader rd{map_, mapLen_, pos_};
   r.id = rd.u64();
-  r.flightCount = rd.u32();
+  r.bound = rd.u32();
   const std::uint64_t len = rd.u64();
   if (len > mapLen_ - rd.pos) {
     throw SimError("spill segment record truncated (blob passes end of file)");
@@ -436,7 +439,7 @@ void writeManifest(const std::string& dir, const CheckpointManifest& m) {
   const std::string path = dir + "/MANIFEST";
   const std::string tmp = path + ".tmp";
   std::ostringstream os;
-  os << "lcdc-mc-checkpoint v1\n";
+  os << kManifestHeader << '\n';
   os << "config " << std::hex << m.configDigest << std::dec << '\n';
   os << "visited " << m.visitedMode << '\n';
   os << "waves " << m.wavesCompleted << '\n';
@@ -458,7 +461,7 @@ void writeManifest(const std::string& dir, const CheckpointManifest& m) {
   os << "bitstate " << m.bitstateWords << ' ' << m.bitstateHashes << '\n';
   os << "segments " << m.frontier.size() << '\n';
   for (const SegmentInfo& s : m.frontier) {
-    os << "seg " << baseName(s.path) << ' ' << s.records << ' ' << s.flightSum
+    os << "seg " << baseName(s.path) << ' ' << s.records << ' ' << s.boundSum
        << ' ' << s.payloadBytes << '\n';
   }
   os << "end\n";
@@ -528,10 +531,9 @@ CheckpointManifest readManifest(const std::string& dir) {
     throw SimError("cannot open checkpoint manifest: " + path);
   }
   std::string header;
-  if (!std::getline(is, header) || header != "lcdc-mc-checkpoint v1") {
-    throw SimError("checkpoint manifest has wrong header (want "
-                   "'lcdc-mc-checkpoint v1'): " +
-                   path);
+  if (!std::getline(is, header) || header != kManifestHeader) {
+    throw SimError("checkpoint manifest has wrong header (want '" +
+                   std::string(kManifestHeader) + "'): " + path);
   }
   CheckpointManifest m;
   {
@@ -606,7 +608,7 @@ CheckpointManifest readManifest(const std::string& dir) {
     SegmentInfo s;
     s.path = dir + "/" + toks[1];
     s.records = manifestU64(toks, 2, "seg", path);
-    s.flightSum = manifestU64(toks, 3, "seg", path);
+    s.boundSum = manifestU64(toks, 3, "seg", path);
     s.payloadBytes = manifestU64(toks, 4, "seg", path);
     m.frontier.push_back(std::move(s));
   }

@@ -14,9 +14,14 @@
 // Segment file layout (all integers little-endian):
 //   48-byte header: magic "LCSPILL1", u32 version, u32 reserved,
 //                   u64 config digest, u64 record count,
-//                   u64 payload bytes, u64 flight-count sum
-//   records:        varint state id, varint flightCount,
+//                   u64 payload bytes, u64 successor-bound sum
+//   records:        varint state id, varint successor bound,
 //                   varint blobLen, blobLen bytes (WorldCodec blob)
+// A record's successor bound is the exact number of successors a full
+// expansion of its world generates; a wave's sum sizes the next wave's
+// visited table and id pages.  Version 2 (bounds instead of in-flight
+// message counts, one-byte id sentinels in the blobs) refuses version-1
+// segments rather than misreading them.
 // The header is patched on seal; readers validate magic/version/digest
 // and bound every varint read, throwing SimError (never UB or invariant
 // aborts) on truncated, corrupt, or version-mismatched input — the same
@@ -49,13 +54,13 @@ struct McConfig;
 /// change its thread count but never silently switch protocols.
 [[nodiscard]] std::uint64_t configDigest(const McConfig& cfg);
 
-inline constexpr std::uint32_t kSpillVersion = 1;
+inline constexpr std::uint32_t kSpillVersion = 2;
 
 /// A sealed segment as listed in a wave's frontier (order matters).
 struct SegmentInfo {
   std::string path;
   std::uint64_t records = 0;
-  std::uint64_t flightSum = 0;
+  std::uint64_t boundSum = 0;
   std::uint64_t payloadBytes = 0;
 };
 
@@ -70,7 +75,7 @@ class SpillSegmentWriter {
   SpillSegmentWriter(const SpillSegmentWriter&) = delete;
   SpillSegmentWriter& operator=(const SpillSegmentWriter&) = delete;
 
-  void add(std::uint64_t id, std::uint32_t flightCount, const std::byte* blob,
+  void add(std::uint64_t id, std::uint32_t bound, const std::byte* blob,
            std::size_t len);
   /// Flush, patch the header with the final counts, close.  Returns the
   /// segment's catalogue entry.
@@ -90,7 +95,7 @@ class SpillSegmentWriter {
   std::vector<std::byte> buf_;
   std::uint64_t records_ = 0;
   std::uint64_t payloadBytes_ = 0;
-  std::uint64_t flightSum_ = 0;
+  std::uint64_t boundSum_ = 0;
   std::uint64_t fileBytes_ = 0;
   bool sealed_ = false;
 };
@@ -101,7 +106,7 @@ class SpillSegmentReader {
  public:
   struct Record {
     std::uint64_t id = 0;
-    std::uint32_t flightCount = 0;
+    std::uint32_t bound = 0;
     const std::byte* blob = nullptr;
     std::uint32_t len = 0;
   };
@@ -115,7 +120,7 @@ class SpillSegmentReader {
   [[nodiscard]] bool next(Record& r);
 
   [[nodiscard]] std::uint64_t records() const { return records_; }
-  [[nodiscard]] std::uint64_t flightSum() const { return flightSum_; }
+  [[nodiscard]] std::uint64_t boundSum() const { return boundSum_; }
   [[nodiscard]] std::uint64_t payloadBytes() const { return payloadBytes_; }
 
  private:
@@ -125,7 +130,7 @@ class SpillSegmentReader {
   std::size_t pos_ = 0;
   std::uint64_t records_ = 0;
   std::uint64_t read_ = 0;
-  std::uint64_t flightSum_ = 0;
+  std::uint64_t boundSum_ = 0;
   std::uint64_t payloadBytes_ = 0;
 };
 

@@ -25,6 +25,19 @@ using trace::codec::putU64;
 using trace::codec::putWords;
 using Reader = trace::codec::Reader;
 
+// Id fields that mostly hold the all-ones sentinels kNoTransaction and
+// kNoNode are written as v+1, so the sentinel costs one varint byte
+// instead of ten (or five).  Unsigned wrap-around keeps the mapping a
+// bijection over the whole range.
+void putTxn(std::vector<std::byte>& out, TransactionId v) {
+  putU64(out, v + 1);
+}
+TransactionId getTxn(Reader& r) { return r.u64() - 1; }
+void putNode(std::vector<std::byte>& out, NodeId v) {
+  putU64(out, static_cast<NodeId>(v + 1));
+}
+NodeId getNode(Reader& r) { return static_cast<NodeId>(r.u32() - 1); }
+
 void putMshr(std::vector<std::byte>& out, const proto::Mshr& m) {
   putU64(out, static_cast<std::uint8_t>(m.req));
   putU64(out, m.replySeen ? 1 : 0);
@@ -32,7 +45,7 @@ void putMshr(std::vector<std::byte>& out, const proto::Mshr& m) {
   putNodes(out, m.acksPending);
   putNodes(out, m.earlyAcks);
   putWords(out, m.data);
-  putU64(out, m.txn);
+  putTxn(out, m.txn);
   putU64(out, m.serial);
   putStamps(out, m.stamps);
   putU64(out, m.earlyStamp);
@@ -50,7 +63,7 @@ proto::Mshr getMshr(Reader& r) {
   m.acksPending = getNodes(r);
   m.earlyAcks = getNodes(r);
   m.data = getWords(r);
-  m.txn = r.u64();
+  m.txn = getTxn(r);
   m.serial = r.u64();
   m.stamps = getStamps(r);
   m.earlyStamp = r.u64();
@@ -67,9 +80,9 @@ void putLine(std::vector<std::byte>& out, const proto::Line& line) {
   putWords(out, line.data);
   putU64(out, line.mshr ? 1 : 0);
   if (line.mshr) putMshr(out, *line.mshr);
-  putU64(out, line.ignoreFwdTxn);
-  putU64(out, line.dropInvTxn);
-  putU64(out, line.epochTxn);
+  putTxn(out, line.ignoreFwdTxn);
+  putTxn(out, line.dropInvTxn);
+  putTxn(out, line.epochTxn);
   putU64(out, line.epochSerial);
   putU64(out, line.epochTs);
   putWords(out, line.epochStartData);
@@ -81,9 +94,9 @@ proto::Line getLine(Reader& r) {
   line.astate = static_cast<AState>(r.u8());
   line.data = getWords(r);
   if (r.b()) line.mshr = getMshr(r);
-  line.ignoreFwdTxn = r.u64();
-  line.dropInvTxn = r.u64();
-  line.epochTxn = r.u64();
+  line.ignoreFwdTxn = getTxn(r);
+  line.dropInvTxn = getTxn(r);
+  line.epochTxn = getTxn(r);
   line.epochSerial = r.u64();
   line.epochTs = r.u64();
   line.epochStartData = getWords(r);
@@ -93,16 +106,16 @@ proto::Line getLine(Reader& r) {
 void putDirEntry(std::vector<std::byte>& out, const proto::DirEntry& e) {
   putU64(out, static_cast<std::uint8_t>(e.core.state));
   putNodes(out, e.core.cached);
-  putU64(out, e.core.busyRequester);
+  putNode(out, e.core.busyRequester);
   putU64(out, static_cast<std::uint8_t>(e.core.busyReq));
   putWords(out, e.mem);
   putU64(out, e.clock);
   putU64(out, e.serialCount);
-  putU64(out, e.busyTxn.id);
+  putTxn(out, e.busyTxn.id);
   putU64(out, e.busyTxn.serial);
   putU64(out, static_cast<std::uint8_t>(e.busyTxn.kind));
   putU64(out, e.busyTxn.block);
-  putU64(out, e.busyTxn.requester);
+  putNode(out, e.busyTxn.requester);
   putU64(out, e.busyHomeTs);
   putStamps(out, e.busyStamps);
 }
@@ -111,16 +124,16 @@ proto::DirEntry getDirEntry(Reader& r) {
   proto::DirEntry e;
   e.core.state = static_cast<DirState>(r.u8());
   e.core.cached = getNodes(r);
-  e.core.busyRequester = r.u32();
+  e.core.busyRequester = getNode(r);
   e.core.busyReq = static_cast<ReqType>(r.u8());
   e.mem = getWords(r);
   e.clock = r.u64();
   e.serialCount = r.u64();
-  e.busyTxn.id = r.u64();
+  e.busyTxn.id = getTxn(r);
   e.busyTxn.serial = r.u64();
   e.busyTxn.kind = static_cast<TxnKind>(r.u8());
   e.busyTxn.block = r.u32();
-  e.busyTxn.requester = r.u32();
+  e.busyTxn.requester = getNode(r);
   e.busyHomeTs = r.u64();
   e.busyStamps = getStamps(r);
   return e;

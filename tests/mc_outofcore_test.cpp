@@ -10,7 +10,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/expect.hpp"
@@ -227,6 +229,90 @@ TEST(Checkpoint, DepthStopResumesWithALargerDepth) {
   expectSameCounts(base, mc::explore(resume), "depth 6 -> 12");
 }
 
+// A depth stop's last wave is never expanded, so without a checkpoint its
+// successors are deduplicated and counted but no world blob is written;
+// with one, they are, so the stop stays resumable.
+TEST(TerminalWave, DepthStopSpillsNoBlobsUnlessCheckpointed) {
+  constexpr std::uint64_t kDepth = 10;
+  mc::McConfig cfg = baseConfig(3, 1);
+  cfg.maxDepth = kDepth;
+  TempDir spillDir("terminal_spill");
+  mc::McConfig spilled = cfg;
+  spilled.spillDir = spillDir.path;
+  const mc::McResult plain = mc::explore(spilled);
+
+  TempDir ckptDir("terminal_ckpt");
+  mc::McConfig checkpointed = cfg;
+  checkpointed.checkpointDir = ckptDir.path;
+  const mc::McResult pinned = mc::explore(checkpointed);
+  expectSameCounts(plain, pinned, "spill vs checkpoint");
+
+  std::uint64_t pendingBytes = 0;
+  for (const mc::SegmentInfo& s : mc::readManifest(ckptDir.path).frontier) {
+    pendingBytes += s.payloadBytes;
+  }
+  EXPECT_GT(pendingBytes, 0u);
+  EXPECT_EQ(pinned.perf.spillBytesWritten,
+            plain.perf.spillBytesWritten + pendingBytes)
+      << "only the checkpointed run writes the last wave's successors";
+
+  // The run one wave shorter writes, through its checkpoint, exactly what
+  // the depth-10 run without one writes.
+  TempDir shortDir("terminal_short");
+  mc::McConfig shorter = checkpointed;
+  shorter.checkpointDir = shortDir.path;
+  shorter.maxDepth = kDepth - 1;
+  EXPECT_EQ(mc::explore(shorter).perf.spillBytesWritten,
+            plain.perf.spillBytesWritten);
+}
+
+// Each frontier record stores the exact number of successors a full
+// expansion of its world generates.  Chained depth stops expose it: the
+// pending wave's bound sum in a checkpoint must equal the transitions the
+// next wave then adds.  (The explorer asserts the per-state equality
+// itself on every expansion; an action added to the expansion but not
+// to the bound trips that assertion as well as this sum.)
+TEST(SuccessorBound, FullExpansionGeneratesExactlyTheStoredBound) {
+  for (const NodeId procs : {NodeId{2}, NodeId{3}}) {
+    for (const int flags : {0, 1, 2, 3, 4, 5, 6, 7}) {
+      mc::McConfig cfg = baseConfig(procs, 1);
+      cfg.allowEvictions = (flags & 1) != 0;
+      cfg.proto.putSharedEnabled = (flags & 2) != 0;
+      cfg.modelData = (flags & 4) != 0;
+      const std::uint64_t lastDepth = procs == 2 ? 40 : 8;
+      const std::string label =
+          std::to_string(procs) + "x1 evictions=" +
+          std::to_string(cfg.allowEvictions) +
+          " putShared=" + std::to_string(cfg.proto.putSharedEnabled) +
+          " data=" + std::to_string(cfg.modelData);
+      TempDir dir("bound_chain");
+      mc::McConfig first = cfg;
+      first.maxDepth = 1;
+      first.checkpointDir = dir.path;
+      mc::McResult prev = mc::explore(first);
+      std::uint64_t checkedWaves = 0;
+      while (prev.wavesCompleted < lastDepth) {
+        std::uint64_t bound = 0;
+        for (const mc::SegmentInfo& s : mc::readManifest(dir.path).frontier) {
+          bound += s.boundSum;
+        }
+        if (bound == 0) break;  // space exhausted
+        mc::McConfig next = cfg;
+        next.maxDepth = prev.wavesCompleted + 1;
+        next.resumeDir = dir.path;
+        const mc::McResult r = mc::explore(next);
+        ASSERT_EQ(r.wavesCompleted, prev.wavesCompleted + 1) << label;
+        EXPECT_EQ(r.transitions - prev.transitions, bound)
+            << label << " wave " << r.wavesCompleted;
+        prev = r;
+        checkedWaves += 1;
+      }
+      EXPECT_GE(checkedWaves, procs == 2 ? 10u : lastDepth - 1) << label;
+      EXPECT_TRUE(prev.ok()) << label;
+    }
+  }
+}
+
 TEST(Checkpoint, TornTailPastManifestIsIgnoredOnResume) {
   // A kill mid-write can leave bytes in visited.log past the manifest's
   // pinned length, and stray unsealed segment data.  Resume must truncate
@@ -272,7 +358,9 @@ TEST(Checkpoint, BitstateModeRoundTrips) {
   const mc::McResult base = mc::explore(full);
   TempDir dir("ckpt_bitstate");
   mc::McConfig limited = full;
-  limited.memLimitMb = 16;
+  // Exact per-record successor bounds shrank the claim table: 12-14 MiB
+  // stop at wave 14, 15 MiB and up run to the end.
+  limited.memLimitMb = 13;
   limited.checkpointDir = dir.path;
   ASSERT_TRUE(mc::explore(limited).memLimitHit);
   mc::McConfig resume = full;
@@ -364,6 +452,49 @@ TEST(VisitedModes, DeterministicForAnyJobs) {
 
 // -- corrupt on-disk inputs ---------------------------------------------------
 
+/// Zero the successor-bound sum of every pending segment, in its header
+/// and in the manifest alike, leaving the records themselves intact.
+void understateBoundSums(const std::string& dir) {
+  for (const mc::SegmentInfo& s : mc::readManifest(dir).frontier) {
+    std::ifstream in(s.path, std::ios::binary);
+    std::string bytes(std::istreambuf_iterator<char>(in), {});
+    std::fill(bytes.begin() + 40, bytes.begin() + 48, '\0');
+    std::ofstream out(s.path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  std::ifstream in(dir + "/MANIFEST", std::ios::binary);
+  std::string line;
+  std::string patched;
+  while (std::getline(in, line)) {
+    std::istringstream toks(line);
+    std::string key;
+    std::string name;
+    std::string records;
+    if (toks >> key >> name >> records && key == "seg") {
+      std::string boundSum;
+      std::string payload;
+      toks >> boundSum >> payload;
+      line = key + ' ' + name + ' ' + records + " 0 " + payload;
+    }
+    patched += line + '\n';
+  }
+  in.close();
+  std::ofstream out(dir + "/MANIFEST", std::ios::binary | std::ios::trunc);
+  out << patched;
+}
+
+/// Resuming `cfg` must refuse the wave whose successors outrun its
+/// stored bounds, naming them.
+void expectBoundOverrun(const mc::McConfig& cfg) {
+  try {
+    (void)mc::explore(cfg);
+    ADD_FAILURE() << "understated bound sums were not refused";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("stored bounds"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(SpillHygiene, ConfigMismatchOnResumeRaisesSimError) {
   TempDir dir("bad_config");
   mc::McConfig cfg = baseConfig(3, 1);
@@ -418,10 +549,11 @@ TEST(SpillHygiene, CorruptFilesRaiseSimErrorNotUb) {
     writeSeg(bad);
     EXPECT_THROW((void)resume(), SimError);
   }
-  // Version bump.
-  {
+  // Version bump, and a version-1 segment (in-flight counts where v2
+  // records carry successor bounds).
+  for (const char version : {'\x09', '\x01'}) {
     std::string bad = originalSeg;
-    bad[8] = 9;
+    bad[8] = version;
     writeSeg(bad);
     EXPECT_THROW((void)resume(), SimError);
   }
@@ -452,7 +584,40 @@ TEST(SpillHygiene, CorruptFilesRaiseSimErrorNotUb) {
     out << "not-a-manifest v1\n";
   }
   EXPECT_THROW((void)resume(), SimError);
+  // A version-1 manifest: intact apart from its header line.
   {
+    const std::string v2 = "lcdc-mc-checkpoint v2\n";
+    ASSERT_EQ(originalManifest.compare(0, v2.size(), v2), 0);
+    std::ofstream out(manifestPath, std::ios::binary | std::ios::trunc);
+    out << "lcdc-mc-checkpoint v1\n" << originalManifest.substr(v2.size());
+  }
+  EXPECT_THROW((void)resume(), SimError);
+  {
+    std::ofstream out(manifestPath, std::ios::binary | std::ios::trunc);
+    out.write(originalManifest.data(),
+              static_cast<std::streamsize>(originalManifest.size()));
+  }
+
+  // Successor-bound sums understated alike in every pending segment's
+  // header and in the manifest.  The records are intact, so only the id
+  // guard can notice, once the wave's new ids outrun the pages sized for
+  // them; parallel workers must not trip over the refused slot either.
+  {
+    std::vector<std::pair<std::string, std::string>> saved;
+    for (const mc::SegmentInfo& s : mc::readManifest(dir.path).frontier) {
+      std::ifstream in(s.path, std::ios::binary);
+      saved.emplace_back(s.path,
+                         std::string(std::istreambuf_iterator<char>(in), {}));
+    }
+    understateBoundSums(dir.path);
+    mc::McConfig r = baseConfig(3, 1);
+    r.resumeDir = dir.path;
+    r.jobs = 4;
+    expectBoundOverrun(r);
+    for (const auto& [path, bytes] : saved) {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
     std::ofstream out(manifestPath, std::ios::binary | std::ios::trunc);
     out.write(originalManifest.data(),
               static_cast<std::streamsize>(originalManifest.size()));
@@ -461,6 +626,24 @@ TEST(SpillHygiene, CorruptFilesRaiseSimErrorNotUb) {
   // Truncated visited log *below* the manifest's pinned length.
   fs::resize_file(dir.path + "/visited.log", 16);
   EXPECT_THROW((void)resume(), SimError);
+}
+
+// Bitstate mode keeps no ids, so the table an understated bound would
+// overrun is the wave's claim table; its claims are refused the same way.
+TEST(SpillHygiene, UnderstatedBoundsInABitstateCheckpointRaiseSimError) {
+  TempDir dir("bad_bounds_bitstate");
+  mc::McConfig cfg = baseConfig(3, 1);
+  cfg.visited = mc::VisitedMode::Bitstate;
+  cfg.bitstateMb = 8;
+  mc::McConfig stop = cfg;
+  stop.maxDepth = 10;
+  stop.checkpointDir = dir.path;
+  ASSERT_TRUE(mc::explore(stop).ok());
+  understateBoundSums(dir.path);
+  mc::McConfig resume = cfg;
+  resume.resumeDir = dir.path;
+  resume.jobs = 4;
+  expectBoundOverrun(resume);
 }
 
 TEST(SpillHygiene, MissingCheckpointDirectoryRaisesSimError) {
