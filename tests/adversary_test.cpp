@@ -79,12 +79,12 @@ constexpr AdversaryParam kAdversary[] = {
 
 INSTANTIATE_TEST_SUITE_P(
     Fuzz, AdversarySweep, testing::ValuesIn(kAdversary),
-    [](const testing::TestParamInfo<AdversaryParam>& info) {
-      return "s" + std::to_string(info.param.seed) + "p" +
-             std::to_string(info.param.procs) + "b" +
-             std::to_string(info.param.blocks) + "c" +
-             std::to_string(info.param.capacity) +
-             (info.param.putShared ? "_ps" : "_nops");
+    [](const testing::TestParamInfo<AdversaryParam>& pinfo) {
+      return "s" + std::to_string(pinfo.param.seed) + "p" +
+             std::to_string(pinfo.param.procs) + "b" +
+             std::to_string(pinfo.param.blocks) + "c" +
+             std::to_string(pinfo.param.capacity) +
+             (pinfo.param.putShared ? "_ps" : "_nops");
     });
 
 }  // namespace

@@ -105,14 +105,22 @@ constexpr BusSweepParam kBusSweep[] = {
     {4, 4, 0, 1, 10},
 };
 
+std::string busSweepLabel(const BusSweepParam& p) {
+  return "p" + std::to_string(p.procs) + "b" + std::to_string(p.blocks) +
+         "c" + std::to_string(p.capacity) + "d" +
+         std::to_string(p.snoopDelay) + "s" + std::to_string(p.seed);
+}
+
+// Prints the label instead of the raw bytes, which include the struct's
+// padding and so would leak into the discovered test names.
+void PrintTo(const BusSweepParam& p, std::ostream* os) {
+  *os << busSweepLabel(p);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BusSweep, testing::ValuesIn(kBusSweep),
-    [](const testing::TestParamInfo<BusSweepParam>& info) {
-      return "p" + std::to_string(info.param.procs) + "b" +
-             std::to_string(info.param.blocks) + "c" +
-             std::to_string(info.param.capacity) + "d" +
-             std::to_string(info.param.snoopDelay) + "s" +
-             std::to_string(info.param.seed);
+    [](const testing::TestParamInfo<BusSweepParam>& pinfo) {
+      return busSweepLabel(pinfo.param);
     });
 
 TEST(Bus, UpgradeRaceConvertsToBusRdX) {

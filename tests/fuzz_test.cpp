@@ -334,11 +334,21 @@ TEST_P(FuzzDetection, CatchesTheMutantWithinBudgetNamingTheSameClaim) {
       << toString(mc.mutant);
 }
 
-std::string batteryName(const ::testing::TestParamInfo<MutantCase>& info) {
-  std::string name = std::string(toString(info.param.protocol)) + "_" +
-                     toString(info.param.mutant);
+std::string batteryLabel(const MutantCase& mc) {
+  std::string name =
+      std::string(toString(mc.protocol)) + "_" + toString(mc.mutant);
   std::replace(name.begin(), name.end(), '-', '_');
   return name;
+}
+
+std::string batteryName(const ::testing::TestParamInfo<MutantCase>& info) {
+  return batteryLabel(info.param);
+}
+
+// Prints the label instead of the raw bytes, which include the struct's
+// padding and so would leak into the discovered test names.
+void PrintTo(const MutantCase& mc, std::ostream* os) {
+  *os << batteryLabel(mc);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMutants, FuzzDetection,

@@ -4,6 +4,10 @@
 // argument against this class of techniques.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "mc/model_checker.hpp"
 
 namespace lcdc {
@@ -86,8 +90,8 @@ TEST(ModelChecker, StateCountExplodesWithBlocks) {
   two.maxStates = 100'000;
   const mc::McResult r2 = mc::explore(two);
 
-  // Adding a block multiplies (roughly squares) the space: per-block state
-  // is near-independent, so this is the explosion the paper warns about.
+  // Adding a block squares the space: blocks are independent, so the 2x2
+  // space is the product of two 2x1 copies (BlockProduct below).
   EXPECT_TRUE(r2.hitStateLimit || r2.statesExplored > 10 * r1.statesExplored)
       << "1 block: " << r1.statesExplored
       << ", 2 blocks: " << r2.statesExplored;
@@ -122,6 +126,102 @@ TEST(ModelChecker, RefutesNoBusyNack) {
   EXPECT_FALSE(r.violations.empty() && r.ok())
       << "mutant survived " << r.statesExplored << " states";
   EXPECT_FALSE(r.violations.empty());
+}
+
+// -- block product -----------------------------------------------------------
+//
+// No handler or check couples two blocks, and the clocks and transaction ids
+// that span blocks are canonicalized away, so a Px2 space is the
+// asynchronous product of two copies of the Px1 space: a state is a pair of
+// block states, and a transition steps one block or the other.  The Px2
+// figures below are derived from Px1 runs, so the tests fail the day
+// something couples blocks.
+
+/// BFS layers of a one-block space: the states first reached at each depth
+/// and the transitions leaving them.
+struct Layers {
+  std::vector<std::uint64_t> states;
+  std::vector<std::uint64_t> transitions;
+};
+
+/// The first `depth` layers, from runs bounded at successive depths.
+Layers oneBlockLayers(mc::McConfig cfg, std::uint64_t depth) {
+  cfg.numBlocks = 1;
+  Layers layers;
+  std::uint64_t states = 0;
+  std::uint64_t transitions = 0;
+  for (std::uint64_t d = 1; d <= depth; ++d) {
+    cfg.maxDepth = d;
+    const mc::McResult r = mc::explore(cfg);
+    layers.states.push_back(r.statesExplored - states);
+    layers.transitions.push_back(r.transitions - transitions);
+    states = r.statesExplored;
+    transitions = r.transitions;
+  }
+  return layers;
+}
+
+/// What the product explores through as many waves as `one` has layers:
+/// layer d pairs the block layers i and d - i, and a pair's transitions are
+/// either block's.
+mc::McResult twoBlockProduct(const Layers& one) {
+  mc::McResult product;
+  for (std::size_t d = 0; d < one.states.size(); ++d) {
+    std::uint64_t layer = 0;
+    for (std::size_t i = 0; i <= d; ++i) {
+      layer += one.states[i] * one.states[d - i];
+      product.transitions += 2 * one.transitions[i] * one.states[d - i];
+    }
+    product.statesExplored += layer;
+    product.frontierPeak = std::max(product.frontierPeak, layer);
+  }
+  product.wavesCompleted = one.states.size();
+  return product;
+}
+
+void expectProduct(const mc::McResult& two, const mc::McResult& law) {
+  EXPECT_EQ(two.statesExplored, law.statesExplored);
+  EXPECT_EQ(two.transitions, law.transitions);
+  EXPECT_EQ(two.frontierPeak, law.frontierPeak);
+  EXPECT_EQ(two.wavesCompleted, law.wavesCompleted);
+  EXPECT_TRUE(two.ok());
+}
+
+TEST(BlockProduct, TwoBlocksWithoutEvictionsSquareOneBlock) {
+  // 2x1: 315 states, 678 transitions, 15 waves.  2x2: 315^2 = 99,225
+  // states, 2 * 315 * 678 = 427,140 transitions, 2 * (15 - 1) + 1 = 29 waves.
+  mc::McConfig cfg;
+  cfg.numProcessors = 2;
+  cfg.allowEvictions = false;
+  cfg.jobs = 4;
+  cfg.numBlocks = 1;
+  const mc::McResult one = mc::explore(cfg);
+  ASSERT_FALSE(one.hitStateLimit);
+  cfg.numBlocks = 2;
+  const mc::McResult two = mc::explore(cfg);
+  ASSERT_FALSE(two.hitStateLimit);
+  EXPECT_EQ(two.statesExplored, one.statesExplored * one.statesExplored);
+  EXPECT_EQ(two.transitions, 2 * one.statesExplored * one.transitions);
+  EXPECT_EQ(two.wavesCompleted, 2 * (one.wavesCompleted - 1) + 1);
+  EXPECT_TRUE(two.ok());
+}
+
+TEST(BlockProduct, BoundedTwoBlockRunsAreTheDepthConvolution) {
+  // 3x2 at depth 6 explores 3,941 states with peak frontier 2,628, from the
+  // 3x1 layers 1, 6, 18, 38, 78, 162.
+  mc::McConfig cfg;
+  cfg.numProcessors = 3;
+  cfg.jobs = 4;
+  cfg.maxDepth = 6;
+  cfg.numBlocks = 2;
+  expectProduct(mc::explore(cfg), twoBlockProduct(oneBlockLayers(cfg, 6)));
+
+  // With values even 2x2 without evictions holds 1,830^2 states, over the
+  // default state cap, so this case stays bounded too.
+  cfg.numProcessors = 2;
+  cfg.modelData = true;
+  cfg.maxDepth = 8;
+  expectProduct(mc::explore(cfg), twoBlockProduct(oneBlockLayers(cfg, 8)));
 }
 
 // -- parallel exploration ----------------------------------------------------

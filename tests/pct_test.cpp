@@ -182,6 +182,12 @@ std::string pctCellName(const ::testing::TestParamInfo<PctGoldenCell>& i) {
   return workload::toString(i.param.kind);
 }
 
+// Prints the label instead of the raw bytes, which include the struct's
+// padding and so would leak into the discovered test names.
+void PrintTo(const PctGoldenCell& g, std::ostream* os) {
+  *os << workload::toString(g.kind);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllKinds, PctSeedEquivCell,
                          ::testing::ValuesIn(kPctGolden), pctCellName);
 

@@ -14,6 +14,23 @@
 #include "backend/backend.hpp"
 #include "run_fingerprint.hpp"
 
+namespace lcdc::testing {
+
+static std::string resetReuseLabel(const MatrixCell& cell) {
+  std::string name = workload::toString(cell.kind);
+  name += cell.mode == net::Network::Mode::Fifo ? "Fifo" : "Rand";
+  return name;
+}
+
+// Prints the label instead of the raw bytes: MatrixCell's padding is
+// uninitialized, so the bytes would change the discovered test names
+// from build to build.
+static void PrintTo(const MatrixCell& cell, std::ostream* os) {
+  *os << resetReuseLabel(cell);
+}
+
+}  // namespace lcdc::testing
+
 namespace lcdc {
 namespace {
 
@@ -134,9 +151,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllCells, ResetReuseCell,
     ::testing::ValuesIn(lcdc::testing::fingerprintMatrix()),
     [](const ::testing::TestParamInfo<MatrixCell>& pinfo) {
-      std::string name = workload::toString(pinfo.param.kind);
-      name += pinfo.param.mode == net::Network::Mode::Fifo ? "Fifo" : "Rand";
-      return name;
+      return lcdc::testing::resetReuseLabel(pinfo.param);
     });
 
 }  // namespace

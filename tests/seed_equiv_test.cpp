@@ -80,11 +80,19 @@ TEST_P(SeedEquivCell, ByteIdenticalToSeedEngine) {
       << std::hex << actual;
 }
 
-std::string cellName(const ::testing::TestParamInfo<GoldenCell>& info) {
-  std::string name = workload::toString(info.param.kind);
-  name += info.param.mode == kFifo ? "Fifo" : "Random";
+std::string cellLabel(const GoldenCell& g) {
+  std::string name = workload::toString(g.kind);
+  name += g.mode == kFifo ? "Fifo" : "Random";
   return name;
 }
+
+std::string cellName(const ::testing::TestParamInfo<GoldenCell>& info) {
+  return cellLabel(info.param);
+}
+
+// Prints the label instead of the raw bytes, which include the struct's
+// padding and so would leak into the discovered test names.
+void PrintTo(const GoldenCell& g, std::ostream* os) { *os << cellLabel(g); }
 
 INSTANTIATE_TEST_SUITE_P(AllCells, SeedEquivCell,
                          ::testing::ValuesIn(kGolden), cellName);

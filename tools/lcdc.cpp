@@ -43,6 +43,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "backend/backend.hpp"
 #include "campaign/campaign.hpp"
 #include "common/expect.hpp"
@@ -179,6 +181,13 @@ mc::VisitedMode parseVisitedMode(const std::string& name) {
   if (name == "bitstate") return mc::VisitedMode::Bitstate;
   throw UsageError("--visited expects exact|compact|bitstate, got '" + name +
                    "'");
+}
+
+/// Process peak RSS from getrusage, as `lcdc mc --perf` reports it.
+std::uint64_t peakRssBytes() {
+  rusage ru{};
+  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
+  return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;  // KiB on Linux
 }
 
 int reportAndExit(const verify::CheckReport& report, bool quiet) {
@@ -318,13 +327,18 @@ int cmdRun(const Args& args) {
   }
   if (!runOk) return kExitSimFailed;
   if (vc.tso) std::cout << "(verifying against TSO)\n";
+  int rc = kExitOk;
   if (streaming) {
     checkers->finish();
     std::cout << "checker state: " << checkers->memoryFootprint()
               << " bytes (streaming)\n";
-    return reportAndExit(checkers->report(), args.has("quiet"));
+    rc = reportAndExit(checkers->report(), args.has("quiet"));
+  } else {
+    rc = reportAndExit(verify::checkAll(trace, vc), args.has("quiet"));
   }
-  return reportAndExit(verify::checkAll(trace, vc), args.has("quiet"));
+  // Last, so the peak covers verification too.
+  if (perf) std::cout << "perf: process peak RSS " << peakRssBytes() << " B\n";
+  return rc;
 }
 
 int cmdVerify(const Args& args) {
@@ -387,11 +401,6 @@ int cmdMc(const Args& args) {
     throw UsageError(
         "the bus backend is not model-checkable (--protocol dir|tardis)");
   }
-  if (cfg.protocol == ProtocolKind::Tardis && args.has("replay")) {
-    throw UsageError(
-        "--replay is directory-only: tardis counterexamples carry no "
-        "replayable schedule");
-  }
   cfg.numProcessors = static_cast<NodeId>(args.num("procs", 2));
   cfg.numBlocks = static_cast<BlockId>(args.num("blocks", 1));
   cfg.proto.leaseLength =
@@ -420,6 +429,22 @@ int cmdMc(const Args& args) {
   if (cfg.visited == mc::VisitedMode::Bitstate && cfg.por) {
     throw UsageError("--visited bitstate cannot combine with --por "
                      "(bitstate assigns no discovery ids)");
+  }
+  // The tardis engine explores its own abstract model in RAM and records
+  // no replayable schedule, so it cannot honour these: refuse them here
+  // rather than ignore them or fail inside mc::explore as an I/O error.
+  if (cfg.protocol == ProtocolKind::Tardis) {
+    for (const char* opt : {"replay", "symmetry", "por", "model-data", "spill",
+                            "checkpoint", "resume"}) {
+      if (args.has(opt) || args.kv.contains(opt)) {
+        throw UsageError(std::string("--") + opt +
+                         " is directory-only (--protocol dir)");
+      }
+    }
+    if (cfg.visited != mc::VisitedMode::Exact) {
+      throw UsageError("--visited " + std::string(mc::toString(cfg.visited)) +
+                       " is directory-only (--protocol dir)");
+    }
   }
   if (!cfg.resumeDir.empty() && !cfg.checkpointDir.empty() &&
       cfg.resumeDir != cfg.checkpointDir) {
@@ -592,6 +617,7 @@ int cmdCampaign(const Args& args) {
                       : 0.0)
               << " states/s\n";
   }
+  std::cout << "process peak RSS " << peakRssBytes() << " B\n";
   if (!args.has("quiet")) {
     for (const auto& f : r.failures) {
       if (!f.tracePath.empty()) {
@@ -781,7 +807,8 @@ void usage(std::ostream& os) {
       "            --trace-format text|binary (binary: varint codec, ~5x\n"
       "                                        smaller; loadFile autodetects)\n"
       "            --streaming (verify online) --no-trace (O(1) memory)\n"
-      "            --perf (events/s + network-queue counters; wall-clock)\n"
+      "            --perf (events/s, network-queue counters, peak RSS;\n"
+      "                    wall-clock)\n"
       "  verify    re-check a dumped trace\n"
       "            --trace FILE --procs N --model sc|tso [--partial]\n"
       "  mc        exhaustive model checking (small configs!)\n"
