@@ -2,6 +2,7 @@
 
 #include <iostream>
 #include <ostream>
+#include <type_traits>
 
 #include "bus/bus_system.hpp"
 #include "common/expect.hpp"
@@ -18,11 +19,12 @@ void BackendSystem::printStats(std::ostream&) const {}
 
 namespace {
 
-// -- directory --------------------------------------------------------------
-
-class DirectorySystem final : public BackendSystem {
+/// The two simulators on the shared event loop (`sim::System`,
+/// `tardis::TardisSystem`) need no adaptation.
+template <typename Sys>
+class EventLoopSystem final : public BackendSystem {
  public:
-  DirectorySystem(const SystemConfig& cfg, EventSink& sink,
+  EventLoopSystem(const SystemConfig& cfg, EventSink& sink,
                   net::Network::Mode mode)
       : sys_(cfg, sink, mode) {}
 
@@ -35,10 +37,23 @@ class DirectorySystem final : public BackendSystem {
   [[nodiscard]] bool supportsReset() const override { return true; }
   void reset(std::uint64_t seed) override { sys_.reset(seed); }
   [[nodiscard]] net::Network* network() override { return &sys_.network(); }
+  void printStats(std::ostream& os) const override {
+    if constexpr (std::is_same_v<Sys, tardis::TardisSystem>) {
+      const tardis::TardisStats s = sys_.stats();
+      os << "tardis: " << s.sharedGrants << " shared grants ("
+         << s.leaseRenewals << " renewals, " << s.leaseExpiries
+         << " lease expiries), " << s.exclusiveGrants
+         << " exclusive grants, " << s.flushes << " flushes ("
+         << s.deferredFlushes << " deferred), " << s.writebacks
+         << " writebacks, " << s.nacksSent << " nacks\n";
+    }
+  }
 
  private:
-  sim::System sys_;
+  Sys sys_;
 };
+
+// -- directory --------------------------------------------------------------
 
 class DirectoryBackend final : public CoherenceBackend {
  public:
@@ -60,7 +75,7 @@ class DirectoryBackend final : public CoherenceBackend {
       net::Network::Mode mode) const override {
     SystemConfig cfg = sys;
     cfg.protocol = ProtocolKind::Directory;
-    return std::make_unique<DirectorySystem>(cfg, sink, mode);
+    return std::make_unique<EventLoopSystem<sim::System>>(cfg, sink, mode);
   }
   [[nodiscard]] bool supportsModelChecking() const override { return true; }
   [[nodiscard]] bool supportsNetworkMode(net::Network::Mode) const override {
@@ -175,34 +190,6 @@ class BusBackend final : public CoherenceBackend {
 
 // -- tardis -----------------------------------------------------------------
 
-class TardisAdapter final : public BackendSystem {
- public:
-  TardisAdapter(const SystemConfig& cfg, EventSink& sink,
-                net::Network::Mode mode)
-      : sys_(cfg, sink, mode) {}
-
-  void setProgram(NodeId proc, const workload::Program& program) override {
-    sys_.setProgram(proc, program);
-  }
-  RunResult run(std::uint64_t maxEvents) override {
-    return maxEvents == 0 ? sys_.run() : sys_.run(maxEvents);
-  }
-  [[nodiscard]] bool supportsReset() const override { return true; }
-  void reset(std::uint64_t seed) override { sys_.reset(seed); }
-  [[nodiscard]] net::Network* network() override { return &sys_.network(); }
-  void printStats(std::ostream& os) const override {
-    const tardis::TardisStats& s = sys_.stats();
-    os << "tardis: " << s.sharedGrants << " shared grants ("
-       << s.leaseRenewals << " renewals, " << s.leaseExpiries
-       << " lease expiries), " << s.exclusiveGrants << " exclusive grants, "
-       << s.flushes << " flushes (" << s.deferredFlushes << " deferred), "
-       << s.writebacks << " writebacks, " << s.nacksSent << " nacks\n";
-  }
-
- private:
-  tardis::TardisSystem sys_;
-};
-
 class TardisBackend final : public CoherenceBackend {
  public:
   [[nodiscard]] ProtocolKind kind() const override {
@@ -227,7 +214,8 @@ class TardisBackend final : public CoherenceBackend {
       net::Network::Mode mode) const override {
     SystemConfig cfg = sys;
     cfg.protocol = ProtocolKind::Tardis;
-    return std::make_unique<TardisAdapter>(cfg, sink, mode);
+    return std::make_unique<EventLoopSystem<tardis::TardisSystem>>(cfg, sink,
+                                                                   mode);
   }
   [[nodiscard]] bool supportsModelChecking() const override { return true; }
   [[nodiscard]] bool supportsNetworkMode(net::Network::Mode) const override {

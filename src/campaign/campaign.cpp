@@ -222,9 +222,22 @@ Sys& acquireSystem(std::optional<Sys>& slot, SystemConfig& shape,
   return *slot;
 }
 
-/// Run the prepared system and fill the timing/queue counters.
+/// Acquire the retained system, attach the probe, set the programs, run,
+/// and fill the timing/queue counters.
 template <class Sys>
-RunResult timedRun(Sys& system, std::uint64_t maxEvents, CaseOutcome& out) {
+RunResult runRetained(WorkerEngine& eng, std::optional<Sys>& slot,
+                      SystemConfig& shape, net::Network::Mode& shapeMode,
+                      const CaseSpec& spec, std::uint64_t maxEvents,
+                      CaseOutcome& out) {
+  Sys& system =
+      acquireSystem(slot, shape, shapeMode, eng.tee, spec.sys, spec.netMode);
+  if (eng.probeRequested) {
+    eng.probe.reset();
+    system.network().setProbe(&eng.probe);
+  }
+  for (NodeId p = 0; p < spec.sys.numProcessors; ++p) {
+    system.setProgram(p, spec.programs[p]);
+  }
   const auto t0 = std::chrono::steady_clock::now();
   const RunResult result = system.run(maxEvents);
   const auto nanos = static_cast<std::uint64_t>(
@@ -260,28 +273,11 @@ RunResult executeCase(WorkerEngine& eng, const CaseSpec& spec,
     return result;
   }
   if (spec.sys.protocol == ProtocolKind::Tardis) {
-    tardis::TardisSystem& system =
-        acquireSystem(eng.tardisSystem, eng.tardisShape, eng.tardisMode,
-                      eng.tee, spec.sys, spec.netMode);
-    if (eng.probeRequested) {
-      eng.probe.reset();
-      system.network().setProbe(&eng.probe);
-    }
-    for (NodeId p = 0; p < spec.sys.numProcessors; ++p) {
-      system.setProgram(p, spec.programs[p]);
-    }
-    return timedRun(system, maxEvents, out);
+    return runRetained(eng, eng.tardisSystem, eng.tardisShape, eng.tardisMode,
+                       spec, maxEvents, out);
   }
-  sim::System& system = acquireSystem(eng.system, eng.shape, eng.systemMode,
-                                      eng.tee, spec.sys, spec.netMode);
-  if (eng.probeRequested) {
-    eng.probe.reset();
-    system.network().setProbe(&eng.probe);
-  }
-  for (NodeId p = 0; p < spec.sys.numProcessors; ++p) {
-    system.setProgram(p, spec.programs[p]);
-  }
-  return timedRun(system, maxEvents, out);
+  return runRetained(eng, eng.system, eng.shape, eng.systemMode, spec,
+                     maxEvents, out);
 }
 
 /// Copy the probe's schedule features into the outcome (zeros when the
@@ -537,9 +533,11 @@ CampaignResult run(const CampaignConfig& cfg) {
     mcCfg.proto.mutant = cfg.mutant;
     mcCfg.maxStates = cfg.mcMaxStates;
     mcCfg.jobs = cfg.jobs;
-    mcCfg.symmetry = true;
-    mcCfg.por = true;
-    mcCfg.modelData = true;
+    // The reductions and data modelling are directory features.
+    const bool dir = cfg.protocol == ProtocolKind::Directory;
+    mcCfg.symmetry = dir;
+    mcCfg.por = dir;
+    mcCfg.modelData = dir;
     if (cfg.mcVisited == "compact") {
       mcCfg.visited = mc::VisitedMode::Compact;
     } else if (cfg.mcVisited == "bitstate") {

@@ -20,25 +20,23 @@
 #include "common/expect.hpp"
 #include "common/flat_set.hpp"
 #include "common/thread_pool.hpp"
-#include "mc/legacy_key.hpp"
+#include "mc/dir_model.hpp"
 #include "mc/spill.hpp"
-#include "mc/state_codec.hpp"
-#include "mc/tardis_mc.hpp"
-#include "mc/world.hpp"
-#include "mc/world_codec.hpp"
-#include "proto/cache.hpp"
-#include "proto/directory.hpp"
+#include "mc/tardis_model.hpp"
 
 namespace lcdc::mc {
-
-namespace {
 
 // -- packed parent edges -----------------------------------------------------
 //
 // 4-byte parent id + the action in one 64-bit word: kind(2) |
-// flightIndex(16) | dst(8) | msgType(4) | proc(8) | block(16) | req(2).
-// Node ids use 255 as the "no node" code; the explored configurations are
-// orders of magnitude below every field's range (asserted on pack).
+// flightIndex(16) | dst(8) | msgType bits 0-3 (4) | proc(8) | block(16) |
+// req(2) | msgType bit 4 (1).  The fifth type bit sits in the word's top
+// byte, so words packed before it existed (types below 16) decode
+// unchanged.  Node ids use 255 as the "no node" code; the explored
+// configurations are orders of magnitude below every field's range
+// (asserted on pack).
+
+static_assert(proto::kNumMsgTypes <= 32, "packed actions hold 5 type bits");
 
 std::uint64_t packAction(const Action& a) {
   const auto node8 = [](NodeId n) -> std::uint64_t {
@@ -48,13 +46,13 @@ std::uint64_t packAction(const Action& a) {
   };
   LCDC_EXPECT(a.flightIndex < 0xFFFF, "flight index exceeds packed range");
   LCDC_EXPECT(a.block < 0xFFFF, "block id exceeds packed range");
+  const auto type = static_cast<std::uint64_t>(a.msgType);
   return static_cast<std::uint64_t>(a.kind) |
          (static_cast<std::uint64_t>(a.flightIndex) << 2) |
-         (node8(a.dst) << 18) |
-         (static_cast<std::uint64_t>(a.msgType) << 26) |
+         (node8(a.dst) << 18) | ((type & 0xF) << 26) |
          (node8(a.proc) << 30) |
          (static_cast<std::uint64_t>(a.block) << 38) |
-         (static_cast<std::uint64_t>(a.req) << 54);
+         (static_cast<std::uint64_t>(a.req) << 54) | ((type >> 4) << 56);
 }
 
 Action unpackAction(std::uint64_t v) {
@@ -65,12 +63,15 @@ Action unpackAction(std::uint64_t v) {
   a.kind = static_cast<Action::Kind>(v & 0x3);
   a.flightIndex = static_cast<std::uint32_t>((v >> 2) & 0xFFFF);
   a.dst = node((v >> 18) & 0xFF);
-  a.msgType = static_cast<proto::MsgType>((v >> 26) & 0xF);
+  a.msgType = static_cast<proto::MsgType>(((v >> 26) & 0xF) |
+                                          (((v >> 56) & 0x1) << 4));
   a.proc = node((v >> 30) & 0xFF);
   a.block = static_cast<BlockId>((v >> 38) & 0xFFFF);
   a.req = static_cast<ReqType>((v >> 54) & 0x3);
   return a;
 }
+
+namespace {
 
 // -- paged per-id storage ----------------------------------------------------
 //
@@ -153,12 +154,21 @@ class ScopedNanos {
 
 // -- the wave-parallel explorer ----------------------------------------------
 
+/// The wave engine over one protocol model (DESIGN.md §8).  `Model`
+/// supplies the world type, its successor actions and their application,
+/// the per-state checks, and the canonical key and frontier blob codecs;
+/// everything else — visited modes, spill, checkpoints, caps, parent
+/// edges — is shared.
+template <typename Model>
 class ParallelExplorer {
+  using World = typename Model::World;
+
  public:
   explicit ParallelExplorer(const McConfig& cfg)
       : cfg_(cfg),
         mode_(cfg.visited),
         digest_(configDigest(cfg)),
+        model_(cfg_, txns_),
         visited_(1u << 16, cfg.visited == VisitedMode::Compact
                                ? FlatFingerprintSet::Mode::Compact
                                : FlatFingerprintSet::Mode::Exact) {
@@ -261,16 +271,12 @@ class ParallelExplorer {
   struct WorkerCtx {
     WorkerCtx(const McConfig& cfg, proto::TxnCounter& txns, Arena& encArena,
               bool timingOn)
-        : codec(cfg),
-          wcodec(cfg, txns),
-          legacy(cfg),
+        : m(cfg, txns),
           encRef(encArena),
           nextRef(encArena),  // rebound to the wave's blob arena on checkout
           timing(timingOn) {}
 
-    StateCodec codec;
-    WorldCodec wcodec;
-    LegacyCanonicalizer legacy;  ///< POR candidate ordering only
+    typename Model::Ctx m;  ///< the model's codecs and scratch
     ArenaRef encRef;
     ArenaRef nextRef;
     std::uint64_t waveEpoch = ~std::uint64_t{0};
@@ -449,7 +455,7 @@ class ParallelExplorer {
     const std::uint32_t bound = successorBound(s);
     {
       ScopedNanos t(out.perf.worldSaveNanos, ctx.timing);
-      ctx.wcodec.save(s, ctx.blob);
+      model_.save(ctx.m, s, ctx.blob);
     }
     if (spill_) {
       if (!out.writer) {
@@ -472,7 +478,7 @@ class ParallelExplorer {
     out.perf.encodeCalls += 1;
     {
       ScopedNanos t(out.perf.encodeNanos, ctx.timing);
-      ctx.codec.encode(s, ctx.enc);
+      model_.encode(ctx.m, s, ctx.enc);
     }
     recordEncoded(s, parent, a, ctx, out);
   }
@@ -509,140 +515,19 @@ class ParallelExplorer {
                       std::move(detail)};
   }
 
-  /// Per-state safety checks: SWMR, value coherence (modelData), definite
-  /// deadlock.  Returns true when this state itself violated an invariant
-  /// (its successors are then not generated).
+  /// Run the model's per-state checks and record what they find.
+  /// Returns true when this state itself violated an invariant (its
+  /// successors are then not generated).
   bool checkState(const Node& n, ChunkOut& out) {
-    const World& w = n.w;
-    bool violating = false;
-    for (BlockId b = 0; b < cfg_.numBlocks; ++b) {
-      NodeId writer = kNoNode;
-      std::uint32_t readers = 0;
-      for (const auto& cache : w.caches) {
-        const proto::Line* line = cache.findLine(b);
-        if (line == nullptr) continue;
-        if (line->cstate == CacheState::ReadWrite) {
-          if (writer != kNoNode) {
-            std::ostringstream os;
-            os << "SWMR violated on block " << b << ": nodes " << writer
-               << " and " << cache.self() << " both read-write";
-            out.violations.push_back(os.str());
-            noteCex(out, n.id, std::nullopt, "violation", os.str());
-            violating = true;
-          }
-          writer = cache.self();
-        } else if (line->cstate == CacheState::ReadOnly) {
-          readers += 1;
-        }
-      }
-      if (writer != kNoNode && readers > 0) {
-        std::ostringstream os;
-        os << "SWMR violated on block " << b << ": node " << writer
-           << " is read-write while " << readers << " reader(s) persist";
-        out.violations.push_back(os.str());
-        noteCex(out, n.id, std::nullopt, "violation", os.str());
-        violating = true;
-      }
-    }
-    if (cfg_.modelData && checkValues(n, out)) violating = true;
-    // Definite deadlock: requests outstanding but nothing in flight and no
-    // local action can produce the awaited reply.
-    if (w.flight.empty()) {
-      for (const auto& cache : w.caches) {
-        if (cache.quiescent()) continue;
-        for (BlockId b = 0; b < cfg_.numBlocks; ++b) {
-          const proto::Line* line = cache.findLine(b);
-          if (line != nullptr && line->mshr.has_value()) {
-            out.deadlock = true;
-            std::ostringstream os;
-            os << "deadlock: node " << cache.self() << " waiting on block "
-               << b << " with no messages in flight";
-            noteCex(out, n.id, std::nullopt, "deadlock", os.str());
-          }
-        }
-      }
-    }
-    return violating;
-  }
-
-  /// Value coherence of settled blocks (modelData): once a block has no
-  /// in-flight message, no open MSHR and no pending drop bookkeeping, all
-  /// live cached copies — plus home memory unless the directory is
-  /// Exclusive — must hold the same word-0 value.
-  bool checkValues(const Node& n, ChunkOut& out) {
-    const World& w = n.w;
-    bool violating = false;
-    for (BlockId b = 0; b < cfg_.numBlocks; ++b) {
-      const proto::DirEntry& e = w.dirs[0].entry(b);
-      if (e.core.state != DirState::Idle && e.core.state != DirState::Shared &&
-          e.core.state != DirState::Exclusive) {
-        continue;  // mid-transaction
-      }
-      bool settled = true;
-      for (const Flight& f : w.flight) {
-        if (f.msg.block == b) settled = false;
-      }
-      for (const auto& cache : w.caches) {
-        const proto::Line* line = cache.findLine(b);
-        if (line != nullptr &&
-            (line->mshr.has_value() ||
-             line->ignoreFwdTxn != kNoTransaction ||
-             line->dropInvTxn != kNoTransaction)) {
-          settled = false;
-        }
-      }
-      if (!settled) continue;
-      std::optional<Word> ref;
-      if (e.core.state != DirState::Exclusive && !e.mem.empty()) {
-        ref = e.mem[0];
-      }
-      for (const auto& cache : w.caches) {
-        const proto::Line* line = cache.findLine(b);
-        if (line == nullptr || line->cstate == CacheState::Invalid ||
-            line->data.empty()) {
-          continue;
-        }
-        if (ref.has_value() && line->data[0] != *ref) {
-          std::ostringstream os;
-          os << "value coherence violated on block " << b << ": node "
-             << cache.self() << " holds " << line->data[0]
-             << " but the settled value is " << *ref;
-          out.violations.push_back(os.str());
-          noteCex(out, n.id, std::nullopt, "violation", os.str());
-          violating = true;
-        }
-        if (!ref.has_value()) ref = line->data[0];
-      }
-    }
-    return violating;
-  }
-
-  /// Deliver one message into `s`; false if it raised a protocol violation
-  /// (the violation is recorded and the state not expanded further).
-  bool deliver(World& s, const Flight& f, std::uint32_t parent,
-               const Action& a, ChunkOut& out) {
-    proto::Outbox ob;
-    try {
-      if (f.dst >= cfg_.numProcessors) {
-        s.dirs[0].handle(f.msg, ob);
+    return model_.check(n.w, [&](bool deadlock, std::string detail) {
+      if (deadlock) {
+        out.deadlock = true;
       } else {
-        s.caches[f.dst].handle(f.msg, ob);
+        out.violations.push_back(detail);
       }
-      absorb(s, f.dst, ob);
-    } catch (const ProtocolError& e) {
-      const std::string v = std::string("protocol invariant: ") + e.what();
-      out.violations.push_back(v);
-      noteCex(out, parent, a, "violation", v);
-      return false;
-    }
-    return true;
-  }
-
-  static void absorb(World& s, NodeId src, proto::Outbox& ob) {
-    for (auto& entry : ob.msgs) {
-      entry.msg.src = src;
-      s.flight.push_back(Flight{entry.dst, std::move(entry.msg)});
-    }
+      noteCex(out, n.id, std::nullopt, deadlock ? "deadlock" : "violation",
+              std::move(detail));
+    });
   }
 
   /// The control projection of one cache used by the POR safety test:
@@ -728,7 +613,7 @@ class ParallelExplorer {
           controlProjection(s.caches[f.dst])) {
         continue;
       }
-      cands.push_back(Cand{ctx.legacy.key(s), std::move(s), i});
+      cands.push_back(Cand{ctx.m.legacy.key(s), std::move(s), i});
     }
     if (cands.empty()) return false;
     std::sort(cands.begin(), cands.end(),
@@ -737,7 +622,7 @@ class ParallelExplorer {
       out.perf.encodeCalls += 1;
       {
         ScopedNanos t(out.perf.encodeNanos, ctx.timing);
-        ctx.codec.encode(c.succ, ctx.enc);
+        ctx.m.codec.encode(c.succ, ctx.enc);
       }
       if (visitedBeforeWave(ctx.enc)) continue;
       const Flight& f = w.flight[c.idx];
@@ -754,117 +639,40 @@ class ParallelExplorer {
     return false;
   }
 
-  /// Call `fn` with every successor action of `w`, in expansion order:
-  /// (a) deliver any in-flight message (the unordered network); (b) any
-  /// processor issues any legal request or local eviction; (c) under
-  /// modelData, a writer bumps the block's bounded version counter (word
-  /// 0, mod 4) — the abstraction of "any store".  This one enumeration
-  /// drives both `expandState` and the stored `successorBound`.
-  template <typename Fn>
-  void forEachAction(const World& w, Fn&& fn) const {
-    for (std::size_t i = 0; i < w.flight.size(); ++i) {
-      const Flight& f = w.flight[i];
-      Action a;
-      a.kind = Action::Kind::Deliver;
-      a.flightIndex = static_cast<std::uint32_t>(i);
-      a.dst = f.dst;
-      a.msgType = f.msg.type;
-      a.block = f.msg.block;
-      fn(a);
-    }
-    const auto local = [&](Action::Kind kind, NodeId p, BlockId b,
-                           ReqType req) {
-      Action a;
-      a.kind = kind;
-      a.proc = p;
-      a.block = b;
-      a.req = req;
-      fn(a);
-    };
-    for (NodeId p = 0; p < cfg_.numProcessors; ++p) {
-      for (BlockId b = 0; b < cfg_.numBlocks; ++b) {
-        const proto::CacheController& cache = w.caches[p];
-        if (cache.requestBlocked(b)) continue;
-        const CacheState cs = cache.state(b);
-        if (cs == CacheState::Invalid) {
-          local(Action::Kind::Issue, p, b, ReqType::GetShared);
-          local(Action::Kind::Issue, p, b, ReqType::GetExclusive);
-        } else if (cs == CacheState::ReadOnly) {
-          local(Action::Kind::Issue, p, b, ReqType::Upgrade);
-          if (cfg_.allowEvictions && cfg_.proto.putSharedEnabled) {
-            local(Action::Kind::Evict, p, b, ReqType{});
-          }
-        } else if (cfg_.allowEvictions) {
-          local(Action::Kind::Evict, p, b, ReqType{});
-        }
-      }
-    }
-    if (cfg_.modelData) {
-      for (NodeId p = 0; p < cfg_.numProcessors; ++p) {
-        for (BlockId b = 0; b < cfg_.numBlocks; ++b) {
-          const proto::Line* line = w.caches[p].findLine(b);
-          if (line != nullptr && !line->data.empty() &&
-              w.caches[p].canBind(b, OpKind::Store)) {
-            local(Action::Kind::Store, p, b, ReqType{});
-          }
-        }
-      }
-    }
-  }
-
   /// The exact number of successors a full expansion of `w` generates.
   [[nodiscard]] std::uint32_t successorBound(const World& w) const {
     std::uint32_t n = 0;
-    forEachAction(w, [&](const Action&) { n += 1; });
+    model_.forEachAction(w, [&](const Action&) { n += 1; });
     return n;
   }
 
   /// Apply one enumerated action to a copy of `w` and record the
-  /// successor (a delivery that raises a protocol violation is counted
-  /// as a transition but records nothing).
+  /// successor (an action that raises a protocol violation is counted as
+  /// a transition but records nothing).
   void applyAction(const World& w, const Action& a, std::uint32_t parent,
                    WorkerCtx& ctx, ChunkOut& out) {
     World s = w;
     out.transitions += 1;
-    proto::Outbox ob;
-    switch (a.kind) {
-      case Action::Kind::Deliver: {
-        const Flight f = s.flight[a.flightIndex];
-        s.flight.erase(s.flight.begin() +
-                       static_cast<std::ptrdiff_t>(a.flightIndex));
-        if (!deliver(s, f, parent, a, out)) return;
-        break;
-      }
-      case Action::Kind::Issue:
-        s.caches[a.proc].issueRequest(a.block, a.req, cfg_.numProcessors,
-                                      ob);
-        absorb(s, a.proc, ob);
-        break;
-      case Action::Kind::Evict:
-        if (s.caches[a.proc].state(a.block) == CacheState::ReadOnly) {
-          s.caches[a.proc].putShared(a.block);
-        } else {
-          s.caches[a.proc].writeback(a.block, cfg_.numProcessors, ob);
-          absorb(s, a.proc, ob);
-        }
-        break;
-      case Action::Kind::Store: {
-        proto::CacheController& cache = s.caches[a.proc];
-        const Word v = (cache.findLine(a.block)->data[0] + 1) & 3;
-        (void)cache.bind(a.block, OpKind::Store, 0, v);
-        break;
-      }
+    try {
+      model_.apply(s, a);
+    } catch (const ProtocolError& e) {
+      const std::string v = std::string("protocol invariant: ") + e.what();
+      out.violations.push_back(v);
+      noteCex(out, parent, a, "violation", v);
+      return;
     }
     record(s, parent, a, ctx, out);
   }
 
   void expandState(const Node& n, WorkerCtx& ctx, ChunkOut& out) {
-    if (cfg_.por && expandAmple(n, ctx, out)) {
-      out.ampleStates += 1;
-      return;
+    if constexpr (Model::kReductions) {
+      if (cfg_.por && expandAmple(n, ctx, out)) {
+        out.ampleStates += 1;
+        return;
+      }
     }
     const std::uint64_t before = out.transitions;
-    forEachAction(n.w, [&](const Action& a) {
+    model_.forEachAction(n.w, [&](const Action& a) {
       applyAction(n.w, a, n.id, ctx, out);
     });
     // The stored bound sized this wave's visited table and id pages; a
@@ -885,7 +693,7 @@ class ParallelExplorer {
         Node n;
         {
           ScopedNanos t(out.perf.worldLoadNanos, ctx.timing);
-          n.w = ctx.wcodec.load(ref.blob, ref.len);
+          n.w = model_.load(ctx.m, ref.blob, ref.len);
         }
         n.id = ref.id;
         n.bound = ref.bound;
@@ -899,11 +707,10 @@ class ParallelExplorer {
     releaseCtx(std::move(ctxOwner));
   }
 
-  /// Spill-mode expansion task: drain (a prefix of) one sealed segment.
-  /// `recordBudget` < records() only in the final wave of a state-capped
-  /// run — the cut is at record granularity, matching the in-RAM prefix.
-  void expandSegment(const SegmentInfo& seg, std::uint64_t recordBudget,
-                     std::uint64_t epoch, ChunkOut& out) {
+  /// Spill-mode expansion task: drain one sealed segment.  (A capped
+  /// wave takes the in-RAM path instead; see `pickCapped`.)
+  void expandSegment(const SegmentInfo& seg, std::uint64_t epoch,
+                     ChunkOut& out) {
     std::unique_ptr<WorkerCtx> ctxOwner = acquireCtx(epoch, waveArenas_[0]);
     WorkerCtx& ctx = *ctxOwner;
     try {
@@ -922,11 +729,11 @@ class ParallelExplorer {
       }
       SpillSegmentReader::Record r;
       std::uint64_t done = 0;
-      while (done < recordBudget && reader.next(r)) {
+      for (; reader.next(r); done += 1) {
         Node n;
         {
           ScopedNanos t(out.perf.worldLoadNanos, ctx.timing);
-          n.w = ctx.wcodec.load(r.blob, r.len);
+          n.w = model_.load(ctx.m, r.blob, r.len);
         }
         n.id = static_cast<std::uint32_t>(r.id);
         n.bound = r.bound;
@@ -941,9 +748,8 @@ class ParallelExplorer {
         out.perf.spillBytesRead += r.len;
         const bool violating = checkState(n, out);
         if (!violating) expandState(n, ctx, out);
-        done += 1;
       }
-      if (done < recordBudget) {
+      if (done < seg.records) {
         throw SimError("spill segment holds fewer records than its header "
                        "claims: " +
                        seg.path);
@@ -953,6 +759,43 @@ class ParallelExplorer {
       out.error = std::current_exception();
     }
     releaseCtx(std::move(ctxOwner));
+  }
+
+  /// A state-capped wave expands the `keep` frontier records with the
+  /// smallest canonical fingerprints, in that order; ties (only exact mode
+  /// keeps two states with one fingerprint) go by encoding bytes.  The
+  /// frontier's own order depends on which worker won each insert race,
+  /// so this is what makes capped counts independent of `jobs` and of
+  /// spilling.  Loading each world also holds a record read back from
+  /// disk to its stored successor bound.
+  std::vector<FrontierRef> pickCapped(const std::vector<FrontierRef>& all,
+                                      std::uint64_t keep, WorkerCtx& ctx) {
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> keys;
+    for (std::uint32_t i = 0; i < all.size(); ++i) {
+      const World w = model_.load(ctx.m, all[i].blob, all[i].len);
+      if (successorBound(w) != all[i].bound ||
+          (mode_ == VisitedMode::Exact &&
+           all[i].id >= nextId_.load(std::memory_order_relaxed))) {
+        throw SimError("frontier record disagrees with its world or the "
+                       "visited set (corrupt spill segment)");
+      }
+      model_.encode(ctx.m, w, ctx.enc);
+      keys.emplace_back(fingerprintHash(ctx.enc.data(), ctx.enc.size()), i);
+    }
+    std::sort(keys.begin(), keys.end(), [&](const auto& a, const auto& b) {
+      if (a.first != b.first || mode_ != VisitedMode::Exact) {
+        return a.first < b.first;
+      }
+      const IdRecord& x = records_[all[a.second].id];
+      const IdRecord& y = records_[all[b.second].id];
+      const int c = std::memcmp(x.enc, y.enc, std::min(x.len, y.len));
+      return c != 0 ? c < 0 : x.len < y.len;
+    });
+    std::vector<FrontierRef> picked;
+    for (std::uint64_t k = 0; k < keep; ++k) {
+      picked.push_back(all[keys[static_cast<std::size_t>(k)].second]);
+    }
+    return picked;
   }
 
   /// Bytes currently committed to the structures the explorer owns — the
@@ -1140,77 +983,59 @@ class ParallelExplorer {
     txns_.next.store(m.txnNext, std::memory_order_relaxed);
     nextId_.store(static_cast<std::uint32_t>(m.nextId),
                   std::memory_order_relaxed);
-    if (mode_ == VisitedMode::Exact) {
-      if (m.visitedLogRecords != m.nextId) {
-        throw SimError(
-            "checkpoint manifest inconsistent: visited-log record count "
-            "does not match nextId");
-      }
-      visited_.reserveFor(static_cast<std::size_t>(m.visitedLogRecords));
-      growIdPages(static_cast<std::size_t>(m.nextId));
-      VisitedLogReader rd(cfg_.resumeDir + "/visited.log", m.visitedLogBytes);
-      ArenaRef encRef(encArena_);
-      std::vector<std::byte> buf;
-      std::uint32_t parent = 0;
-      std::uint64_t action = 0;
-      std::uint64_t id = 0;
-      while (rd.nextExact(buf, parent, action)) {
-        if (id >= m.nextId) {
-          throw SimError(
-              "checkpoint visited log holds more records than nextId");
-        }
-        std::byte* p = encRef.alloc(buf.size());
-        std::memcpy(p, buf.data(), buf.size());
-        records_[id] = IdRecord{p, static_cast<std::uint32_t>(buf.size()),
-                                parent, action};
-        const std::uint64_t fp = fingerprintHash(buf.data(), buf.size());
-        const FlatFingerprintSet::InsertResult res = visited_.insert(
-            fp, [&](std::uint32_t payload) { return encEquals(payload, buf); },
-            [&]() { return static_cast<std::uint32_t>(id); });
-        if (!res.inserted) {
-          throw SimError("checkpoint visited log holds a duplicate state");
-        }
-        id += 1;
-      }
-      if (id != m.nextId) {
-        throw SimError(
-            "checkpoint visited log truncated: fewer records than nextId");
-      }
-    } else if (mode_ == VisitedMode::Compact) {
-      if (m.visitedLogRecords != m.nextId) {
-        throw SimError(
-            "checkpoint manifest inconsistent: visited-log record count "
-            "does not match nextId");
-      }
-      visited_.reserveFor(static_cast<std::size_t>(m.visitedLogRecords));
-      growIdPages(static_cast<std::size_t>(m.nextId));
-      VisitedLogReader rd(cfg_.resumeDir + "/visited.log", m.visitedLogBytes);
-      std::uint64_t fp = 0;
-      std::uint64_t id = 0;
-      while (rd.nextFp(fp)) {
-        if (id >= m.nextId) {
-          throw SimError(
-              "checkpoint visited log holds more records than nextId");
-        }
-        if (checkpointing_) fpsById_[id] = fp;
-        const FlatFingerprintSet::InsertResult res = visited_.insert(
-            fp, [](std::uint32_t) { return true; },
-            [&]() { return static_cast<std::uint32_t>(id); });
-        if (!res.inserted) {
-          throw SimError(
-              "checkpoint visited log holds a duplicate fingerprint");
-        }
-        id += 1;
-      }
-      if (id != m.nextId) {
-        throw SimError(
-            "checkpoint visited log truncated: fewer records than nextId");
-      }
-    } else {
+    if (mode_ == VisitedMode::Bitstate) {
       std::uint32_t hashes = 0;
       std::vector<std::uint64_t> words =
           readBitstateFile(cfg_.resumeDir + "/bitstate.bits", digest_, hashes);
       bloom_->loadWords(std::move(words), hashes);
+    } else {
+      if (m.visitedLogRecords != m.nextId) {
+        throw SimError(
+            "checkpoint manifest inconsistent: visited-log record count "
+            "does not match nextId");
+      }
+      visited_.reserveFor(static_cast<std::size_t>(m.visitedLogRecords));
+      growIdPages(static_cast<std::size_t>(m.nextId));
+      VisitedLogReader rd(cfg_.resumeDir + "/visited.log", m.visitedLogBytes);
+      const bool exact = mode_ == VisitedMode::Exact;
+      ArenaRef encRef(encArena_);
+      std::vector<std::byte> buf;
+      std::uint32_t parent = 0;
+      std::uint64_t action = 0;
+      std::uint64_t fp = 0;
+      std::uint64_t id = 0;
+      while (exact ? rd.nextExact(buf, parent, action) : rd.nextFp(fp)) {
+        if (id >= m.nextId) {
+          throw SimError(
+              "checkpoint visited log holds more records than nextId");
+        }
+        if (exact) {
+          std::byte* p = encRef.alloc(buf.size());
+          std::memcpy(p, buf.data(), buf.size());
+          records_[id] = IdRecord{p, static_cast<std::uint32_t>(buf.size()),
+                                  parent, action};
+          fp = fingerprintHash(buf.data(), buf.size());
+        } else if (checkpointing_) {
+          fpsById_[id] = fp;
+        }
+        const FlatFingerprintSet::InsertResult res = visited_.insert(
+            fp,
+            [&](std::uint32_t payload) {
+              return !exact || encEquals(payload, buf);
+            },
+            [&]() { return static_cast<std::uint32_t>(id); });
+        if (!res.inserted) {
+          throw SimError(exact
+                             ? "checkpoint visited log holds a duplicate state"
+                             : "checkpoint visited log holds a duplicate "
+                               "fingerprint");
+        }
+        id += 1;
+      }
+      if (id != m.nextId) {
+        throw SimError(
+            "checkpoint visited log truncated: fewer records than nextId");
+      }
     }
     for (const SegmentInfo& s : m.frontier) {
       wave.records += s.records;
@@ -1226,6 +1051,7 @@ class ParallelExplorer {
   VisitedMode mode_ = VisitedMode::Exact;
   std::uint64_t digest_ = 0;
   proto::TxnCounter txns_;
+  Model model_;
   std::mutex ctxMu_;
   std::vector<std::unique_ptr<WorkerCtx>> ctxPool_;
   FlatFingerprintSet visited_;
@@ -1264,7 +1090,8 @@ class ParallelExplorer {
   std::vector<std::string> retiredSegs_;
 };
 
-McResult ParallelExplorer::run() {
+template <typename Model>
+McResult ParallelExplorer<Model>::run() {
   const unsigned jobs = std::max(1u, cfg_.jobs);
   ThreadPool pool(jobs);
   std::optional<CexSeed> cexSeed;
@@ -1282,7 +1109,7 @@ McResult ParallelExplorer::run() {
     ChunkOut rootOut;
     if (spill_) rootOut.segBase = segBasePath(0, 0);
     std::unique_ptr<WorkerCtx> ctx = acquireCtx(0, waveArenas_[0]);
-    const World init = makeInitialWorld(cfg_, txns_);
+    const World init = model_.initial();
     try {
       record(init, kNoParent, Action{}, *ctx, rootOut);
       sealChunk(rootOut);
@@ -1319,15 +1146,36 @@ McResult ParallelExplorer::run() {
       if (spill_) deleteSegs(wave);
       break;
     }
+    const std::uint64_t epoch = result_.wavesCompleted + 1;
+    Arena& nextArena = waveArenas_[1 - cur];
+
+    // A capped wave runs on the in-RAM path over its picked records; a
+    // spilled frontier's stay in their mapped segments until it ends.
+    std::vector<std::unique_ptr<SpillSegmentReader>> capReaders;
+    if (result_.hitStateLimit && spill_) {
+      for (const SegmentInfo& seg : wave.segs) {
+        capReaders.push_back(
+            std::make_unique<SpillSegmentReader>(seg.path, digest_));
+        SpillSegmentReader::Record r;
+        while (capReaders.back()->next(r)) {
+          frontier.push_back(FrontierRef{
+              r.blob, r.len, static_cast<std::uint32_t>(r.id), r.bound});
+        }
+      }
+    }
+    if (result_.hitStateLimit) {
+      std::unique_ptr<WorkerCtx> ctx = acquireCtx(epoch, nextArena);
+      frontier = pickCapped(frontier, expandCount, *ctx);
+      releaseCtx(std::move(ctx));
+    }
+    const bool fromSegments = spill_ && !result_.hitStateLimit;
 
     // This wave's successor bound, the sum of its records' exact bounds:
     // the visited table and the id pages may not grow mid-wave (the flat
     // set must not rehash under concurrent inserts; workers index the id
-    // pages without locks).  The spilled path charges the whole wave's
-    // sum even when the state cap cuts it — an upper bound either way,
-    // and capacity never affects counts.
+    // pages without locks).
     std::uint64_t waveBound = 0;
-    if (spill_) {
+    if (fromSegments) {
       waveBound = wave.boundSum;
     } else {
       for (std::uint64_t i = 0; i < expandCount; ++i) {
@@ -1366,33 +1214,21 @@ McResult ParallelExplorer::run() {
     // cap was just taken, or it reaches `maxDepth`.  Its successors are
     // loaded again only when a depth stop checkpoints them for a resume
     // (a state-capped stop is terminal and writes no checkpoint).
-    const std::uint64_t epoch = result_.wavesCompleted + 1;
     const bool depthStop = cfg_.maxDepth != 0 && epoch >= cfg_.maxDepth;
     keepSuccessors_ =
         !result_.hitStateLimit && (!depthStop || checkpointing_);
 
-    Arena& nextArena = waveArenas_[1 - cur];
     std::vector<ChunkOut> outs;
-    if (spill_) {
-      // One task per source segment, with a record budget cutting the
-      // final partial segment of a state-capped run.  Segment order is
-      // frontier order, so in-order merge keeps the global sequence
-      // identical to the in-RAM path.
-      std::vector<std::pair<const SegmentInfo*, std::uint64_t>> specs;
-      std::uint64_t left = expandCount;
-      for (const SegmentInfo& s : wave.segs) {
-        if (left == 0) break;
-        const std::uint64_t budget = std::min(s.records, left);
-        left -= budget;
-        specs.emplace_back(&s, budget);
-      }
-      outs.resize(specs.size());
-      for (std::size_t c = 0; c < specs.size(); ++c) {
+    if (fromSegments) {
+      // One task per source segment.  Segment order is frontier order, so
+      // in-order merge keeps the global sequence identical to the in-RAM
+      // path.
+      outs.resize(wave.segs.size());
+      for (std::size_t c = 0; c < wave.segs.size(); ++c) {
         outs[c].segBase = segBasePath(epoch, c);
-        const SegmentInfo* seg = specs[c].first;
-        const std::uint64_t budget = specs[c].second;
-        pool.submit([this, seg, budget, epoch, &outs, c] {
-          expandSegment(*seg, budget, epoch, outs[c]);
+        const SegmentInfo* seg = &wave.segs[c];
+        pool.submit([this, seg, epoch, &outs, c] {
+          expandSegment(*seg, epoch, outs[c]);
         });
       }
     } else {
@@ -1569,7 +1405,7 @@ std::string toString(const Action& a) {
   return os.str();
 }
 
-McResult explore(const McConfig& cfg) {
+void validate(const McConfig& cfg) {
   LCDC_EXPECT(cfg.numProcessors >= 1, "need at least one processor");
   LCDC_EXPECT(cfg.numBlocks >= 1, "need at least one block");
   if (cfg.protocol == ProtocolKind::Bus) {
@@ -1591,29 +1427,28 @@ McResult explore(const McConfig& cfg) {
         "run continues checkpointing into the resume directory, so drop "
         "--checkpoint or point both at the same place");
   }
-  const bool outOfCore = !cfg.spillDir.empty() || !cfg.checkpointDir.empty() ||
-                         !cfg.resumeDir.empty();
-  if (outOfCore) {
-    const std::string ckpt =
-        cfg.checkpointDir.empty() ? cfg.resumeDir : cfg.checkpointDir;
-    if (!cfg.spillDir.empty() && !ckpt.empty() && cfg.spillDir != ckpt) {
-      throw SimError(
-          "--spill and --checkpoint/--resume name different directories; "
-          "checkpoints reference the spill segments by basename, so they "
-          "must live in one directory");
-    }
+  const std::string& ckpt =
+      cfg.checkpointDir.empty() ? cfg.resumeDir : cfg.checkpointDir;
+  if (!cfg.spillDir.empty() && !ckpt.empty() && cfg.spillDir != ckpt) {
+    throw SimError(
+        "--spill and --checkpoint/--resume name different directories; "
+        "checkpoints reference the spill segments by basename, so they "
+        "must live in one directory");
   }
+  if (cfg.protocol == ProtocolKind::Tardis &&
+      (cfg.symmetry || cfg.por || cfg.modelData)) {
+    throw SimError(
+        "--symmetry, --por and --model-data are directory-only (--protocol "
+        "dir)");
+  }
+}
+
+McResult explore(const McConfig& cfg) {
+  validate(cfg);
   if (cfg.protocol == ProtocolKind::Tardis) {
-    if (outOfCore || cfg.visited != VisitedMode::Exact) {
-      throw SimError(
-          "the tardis backend keeps its own in-RAM exploration state: "
-          "--visited/--spill/--checkpoint/--resume apply to the directory "
-          "protocol only");
-    }
-    return exploreTardis(cfg);
+    return ParallelExplorer<TardisModel>(cfg).run();
   }
-  ParallelExplorer explorer(cfg);
-  return explorer.run();
+  return ParallelExplorer<DirectoryModel>(cfg).run();
 }
 
 }  // namespace lcdc::mc

@@ -1,5 +1,6 @@
-// Parallel explicit-state model checker over the directory protocol — the
-// baseline verification technique the paper contrasts with (Section 1:
+// Parallel explicit-state model checker over the directory and Tardis
+// protocols — the baseline verification technique the paper contrasts
+// with (Section 1:
 // such methods "do not scale well to systems of a practical size";
 // Section 4 lists protocol verifications limited to a handful of nodes and
 // one cache block).  This engine pushes that wall outward with threads and
@@ -7,9 +8,10 @@
 // model-checking work cited in PAPERS.md.
 //
 // Design points:
-//   * It drives the *same* `proto::CacheController`/`DirectoryController`
-//     transition code as the simulator, so it model-checks exactly the
-//     protocol we run (including fault-injected mutants).
+//   * It drives the *same* controllers as the simulators, so it
+//     model-checks exactly the protocol we run (including fault-injected
+//     mutants).  One wave engine serves both protocols, as a template over
+//     a model type (`dir_model.hpp`, `tardis_model.hpp`; DESIGN.md §8).
 //   * A world state = every controller's protocol-relevant state plus the
 //     multiset of in-flight messages; successors are (a) delivering any
 //     in-flight message — the unordered network — and (b) any processor
@@ -32,15 +34,17 @@
 //     frontier is chunked across the work-stealing `lcdc::ThreadPool`,
 //     the visited table grows only at wave boundaries, and all stop
 //     decisions (violation found, deadlock, state cap, memory limit)
-//     happen at wave boundaries, so `statesExplored` / `transitions` /
-//     verdicts are identical for any `jobs` value — and byte-identical
-//     to the original string-key engine (`legacy_key.hpp` remains as the
+//     happen at wave boundaries, and a state-capped final wave picks its
+//     states by canonical fingerprint, so `statesExplored` /
+//     `transitions` / verdicts are identical for any `jobs` value, capped
+//     or not — and, for the directory protocol, byte-identical to the
+//     original string-key engine (`legacy_key.hpp` remains as the
 //     differential oracle).
 //   * Every visited state keeps a compact parent edge (4-byte parent id +
 //     the action packed into 8 bytes), so any violation or deadlock
 //     reconstructs into a concrete schedule; `replay.hpp` re-executes
-//     that schedule through `sim::System` with the streaming Lamport
-//     checkers attached.
+//     that schedule through `sim::System` (or `tardis::TardisSystem`)
+//     with the streaming Lamport checkers attached.
 //   * Safety checks per state: the single-writer/multiple-reader invariant,
 //     protocol-invariant (Appendix B) violations surfacing as exceptions,
 //     definite deadlocks (no message in flight yet requests outstanding),
@@ -87,19 +91,20 @@ struct McConfig {
   NodeId numProcessors = 2;
   BlockId numBlocks = 1;
   ProtoConfig proto{};
-  /// Which coherence backend to explore.  `Directory` runs the
-  /// controller-driven engine described above; `Tardis` runs a
-  /// self-contained rank-compressed abstraction (`tardis_mc.cpp`) whose
-  /// state space is finite because timestamps are kept as relative ranks.
-  /// `Bus` is not model-checkable — `explore` throws `SimError`.
+  /// Which coherence backend to explore.  Tardis's space does not close
+  /// (see `tardis_model.hpp`), so its runs are bounded-exhaustive, and it
+  /// takes no `symmetry`, `por` or `modelData`; those and `Bus` make
+  /// `explore` throw `SimError`.
   ProtocolKind protocol = ProtocolKind::Directory;
   /// Allow processors to issue Writebacks / Put-Shareds (more actions =>
   /// bigger space).
   bool allowEvictions = true;
   /// Abort exploration after this many distinct states.  The cap is
-  /// enforced at wave boundaries: the final wave expands exactly the
-  /// prefix of the frontier that fits, so a capped run drains cleanly and
-  /// reports the same `statesExplored` for any `jobs` value.
+  /// enforced at wave boundaries: the final wave expands exactly as many
+  /// frontier states as fit, picking those with the smallest canonical
+  /// fingerprints (ties broken by encoding bytes), so a capped run drains
+  /// cleanly and reports the same states, transitions and verdicts for
+  /// any `jobs` value, in RAM or spilled.
   std::uint64_t maxStates = 2'000'000;
   /// Worker threads for the wave-parallel BFS.
   unsigned jobs = 1;
@@ -180,6 +185,11 @@ using Schedule = std::vector<Action>;
 
 [[nodiscard]] std::string toString(const Action& a);
 
+/// The 64-bit word a parent edge (and a checkpoint's visited log) stores
+/// an action in; `unpackAction(packAction(a))` restores every field.
+[[nodiscard]] std::uint64_t packAction(const Action& a);
+[[nodiscard]] Action unpackAction(std::uint64_t v);
+
 /// A reconstructed failing path: the exact message-delivery / request
 /// schedule from the initial state to the bad state.
 struct Counterexample {
@@ -230,8 +240,11 @@ struct McResult {
   }
 };
 
+/// Throw SimError when `cfg` combines options that cannot run together.
+void validate(const McConfig& cfg);
+
 /// Wave-synchronous parallel breadth-first exploration of the reachable
-/// protocol state space.
+/// protocol state space (after `validate`).
 [[nodiscard]] McResult explore(const McConfig& cfg);
 
 }  // namespace lcdc::mc

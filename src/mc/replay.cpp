@@ -7,6 +7,7 @@
 #include "common/expect.hpp"
 #include "proto/observer.hpp"
 #include "sim/system.hpp"
+#include "tardis/tardis_system.hpp"
 #include "trace/trace.hpp"
 #include "verify/stream.hpp"
 #include "workload/program.hpp"
@@ -15,11 +16,11 @@ namespace lcdc::mc {
 
 namespace {
 
-/// The simulator configuration that mirrors an MC world: one directory
-/// (home id == numProcessors), no programs, no retry pacing, manual
-/// network.  Latency fields are irrelevant in manual mode.
+/// The simulator configuration that mirrors an MC world: one home (id
+/// numProcessors), no programs, no retry pacing, manual network.
 SystemConfig replaySystemConfig(const McConfig& cfg) {
   SystemConfig sys;
+  sys.protocol = cfg.protocol;
   sys.proto = cfg.proto;
   sys.numProcessors = cfg.numProcessors;
   sys.numDirectories = 1;
@@ -33,24 +34,12 @@ SystemConfig replaySystemConfig(const McConfig& cfg) {
   return sys;
 }
 
-}  // namespace
-
-ReplayResult replayCounterexample(const McConfig& cfg,
-                                  const Schedule& schedule,
-                                  trace::Trace* traceOut) {
-  ReplayResult res;
-  const SystemConfig sysCfg = replaySystemConfig(cfg);
-  verify::VerifyConfig vcfg = proto::verifyConfigFor(sysCfg);
-  // A counterexample is a prefix of an execution: transactions may still
-  // be open when the schedule ends.
-  vcfg.expectComplete = false;
-  verify::StreamCheckerSet checkers(vcfg);
-  proto::TeeSink tee;
-  if (traceOut != nullptr) tee.attach(*traceOut);
-  tee.attach(checkers);
-
-  sim::System sys(sysCfg, tee, net::Network::Mode::Manual);
-  tee.onRunBegin(sysCfg);
+/// Apply `schedule` to `sys` (a `sim::System` or `tardis::TardisSystem`
+/// in manual network mode, `tee` its sink) and finish the run.
+template <typename Sys>
+void replayOn(Sys& sys, proto::TeeSink& tee, const McConfig& cfg,
+              const Schedule& schedule, ReplayResult& res) {
+  tee.onRunBegin(sys.config());
 
   // Replayed stores carry globally unique values (the MC's mod-4 version
   // counter is an abstraction; control flow is value-independent, and
@@ -131,6 +120,30 @@ ReplayResult replayCounterexample(const McConfig& cfg,
   rr.endTime = sys.now();
   rr.eventsProcessed = applied;
   tee.onRunEnd(rr);
+}
+
+}  // namespace
+
+ReplayResult replayCounterexample(const McConfig& cfg,
+                                  const Schedule& schedule,
+                                  trace::Trace* traceOut) {
+  ReplayResult res;
+  const SystemConfig sysCfg = replaySystemConfig(cfg);
+  verify::VerifyConfig vcfg = proto::verifyConfigFor(sysCfg);
+  // A counterexample is a prefix of an execution: transactions may still
+  // be open when the schedule ends.
+  vcfg.expectComplete = false;
+  verify::StreamCheckerSet checkers(vcfg);
+  proto::TeeSink tee;
+  if (traceOut != nullptr) tee.attach(*traceOut);
+  tee.attach(checkers);
+  if (cfg.protocol == ProtocolKind::Tardis) {
+    tardis::TardisSystem sys(sysCfg, tee, net::Network::Mode::Manual);
+    replayOn(sys, tee, cfg, schedule, res);
+  } else {
+    sim::System sys(sysCfg, tee, net::Network::Mode::Manual);
+    replayOn(sys, tee, cfg, schedule, res);
+  }
   checkers.finish();
   res.report = checkers.report();
   return res;

@@ -1,20 +1,17 @@
 // Counterexample replay: ties the paper's two verification worlds
-// together.  A schedule reconstructed by the model checker (an MC
-// counterexample) is re-executed step by step through `sim::System` in
-// manual network mode with the streaming Lamport checkers attached, so
-// the same failing behaviour becomes a Lamport-checked failing trace —
-// the checker suite of Section 3 confirms the violation the exhaustive
-// search found.
+// together.  A schedule the model checker reconstructed is re-executed
+// step by step through the protocol's simulator (`sim::System` or
+// `tardis::TardisSystem`) in manual network mode with the streaming
+// Lamport checkers attached, so the checker suite of Section 3 confirms
+// the violation the exhaustive search found.
 //
-// Fidelity: a manual-mode System with no programs is the same pure
-// message-transition machine the checker explores — identical controller
-// code, one directory (home id == numProcessors, matching the MC world),
-// and the manual network deque appends sends in outbox order and erases
-// at the delivered index exactly like the MC flight vector, so MC flight
-// indices map 1:1 onto pending-message indices.  Every Deliver step is
-// cross-checked against the recorded (dst, type, block) and any mismatch
-// is reported as a divergence instead of silently replaying a different
-// run.
+// Fidelity: a manual-mode simulator with no programs drives the same
+// controllers as the checker's world, with one home at id numProcessors,
+// and its network deque appends sends in outbox order and erases at the
+// delivered index exactly like the MC flight vector, so MC flight indices
+// map 1:1 onto pending-message indices.  Every Deliver step is
+// cross-checked against the recorded (dst, type, block); a mismatch is
+// reported as a divergence instead of replaying a different run.
 #pragma once
 
 #include <cstdint>

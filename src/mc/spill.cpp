@@ -139,7 +139,6 @@ SpillSegmentWriter::SpillSegmentWriter(std::string path,
   if (std::fwrite(header, 1, kSpillHeaderBytes, f_) != kSpillHeaderBytes) {
     throwIo("cannot write spill segment header", path_);
   }
-  fileBytes_ = kSpillHeaderBytes;
 }
 
 SpillSegmentWriter::~SpillSegmentWriter() {
@@ -165,7 +164,6 @@ void SpillSegmentWriter::flushBuf() {
   if (std::fwrite(buf_.data(), 1, buf_.size(), f_) != buf_.size()) {
     throwIo("cannot write spill segment", path_);
   }
-  fileBytes_ += buf_.size();
   buf_.clear();
 }
 

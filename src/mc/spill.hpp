@@ -82,9 +82,6 @@ class SpillSegmentWriter {
   [[nodiscard]] SegmentInfo seal();
 
   [[nodiscard]] std::uint64_t records() const { return records_; }
-  [[nodiscard]] std::uint64_t bytesWritten() const { return fileBytes_; }
-  /// Current in-memory buffer footprint (counted by --mem-limit-mb).
-  [[nodiscard]] std::size_t bufferBytes() const { return buf_.capacity(); }
 
  private:
   void flushBuf();
@@ -96,7 +93,6 @@ class SpillSegmentWriter {
   std::uint64_t records_ = 0;
   std::uint64_t payloadBytes_ = 0;
   std::uint64_t boundSum_ = 0;
-  std::uint64_t fileBytes_ = 0;
   bool sealed_ = false;
 };
 
@@ -154,8 +150,6 @@ class VisitedLogWriter {
   /// Flush buffered records to the file; the manifest may then pin the
   /// returned offset as the new valid length.
   [[nodiscard]] std::uint64_t flush();
-  [[nodiscard]] std::uint64_t offset() const { return offset_ + buf_.size(); }
-  [[nodiscard]] std::size_t bufferBytes() const { return buf_.capacity(); }
 
  private:
   std::FILE* f_ = nullptr;

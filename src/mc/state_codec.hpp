@@ -108,9 +108,6 @@ class StateCodec {
   /// already canonical).  `encodeDecoded(decode(e)) == e` must hold.
   void encodeDecoded(const DecodedState& d, std::vector<std::byte>& out) const;
 
-  /// Bits per encoded in-flight message (fixed per configuration).
-  [[nodiscard]] unsigned messageBits() const { return msgBits_; }
-
  private:
   class BitWriter;
   class BitReader;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <sstream>
 
 #include "common/expect.hpp"
 
@@ -10,9 +9,7 @@ namespace lcdc::sim {
 
 System::System(const SystemConfig& config, proto::EventSink& sink,
                net::Network::Mode mode)
-    : config_(config), sink_(&sink), rng_(config.seed),
-      net_(mode, Rng(config.seed ^ 0x6E657477'6F726BULL), config.minLatency,
-           config.maxLatency) {
+    : EventLoop(mode, config, sink), config_(config), rng_(config.seed) {
   LCDC_EXPECT(config_.numProcessors >= 1, "need at least one processor");
   LCDC_EXPECT(config_.numDirectories >= 1, "need at least one directory");
   LCDC_EXPECT(config_.proto.wordsPerBlock >= 1, "blocks need at least 1 word");
@@ -40,15 +37,13 @@ void System::reset(std::uint64_t seed) {
   // byte-identical to constructing a fresh System with this seed.
   config_.seed = seed;
   rng_ = Rng(seed);
-  net_.reset(Rng(seed ^ 0x6E657477'6F726BULL));
+  rewind(seed);
   txns_.next.store(1, std::memory_order_relaxed);
   for (auto& p : procs_) p->reset(rng_.fork());
   for (auto& d : dirs_) d->reset();
-  while (!timers_.empty()) timers_.pop();
   // A run aborted by a thrown invariant can leave messages in the scratch
   // outbox; drop them so the next run starts clean.
   outbox_.clear();
-  now_ = 0;
 }
 
 Processor& System::processor(NodeId i) {
@@ -69,23 +64,12 @@ void System::setProgram(NodeId proc, workload::Program&& program) {
   processor(proc).setProgram(std::move(program));
 }
 
-void System::start() {
-  for (NodeId p = 0; p < procs_.size(); ++p) progress(p);
-}
-
-void System::flush(NodeId src, proto::Outbox& out) {
-  for (auto& entry : out.msgs) {
-    (void)net_.send(src, entry.dst, now_, std::move(entry.msg));
-  }
-  out.clear();
-}
-
 void System::progress(NodeId proc) {
   Processor& p = *procs_[proc];
   proto::Outbox& out = outbox_;
   const net::Tick wake = p.tryProgress(now_, out);
   flush(proc, out);
-  if (wake != net::kNever) timers_.push(Timer{wake, proc});
+  wakeAt(proc, wake);
 }
 
 void System::dispatch(const net::Envelope& env) {
@@ -100,92 +84,6 @@ void System::dispatch(const net::Envelope& env) {
     dirs_[d]->handle(env.msg, out);
     flush(env.dst, out);
   }
-}
-
-bool System::stepEvent() {
-  const net::Tick tNet = net_.empty() ? net::kNever : net_.nextDeliveryTime();
-  net::Tick tTimer = net::kNever;
-  while (!timers_.empty() && timers_.top().at <= now_) {
-    // Stale timers (the processor already progressed) fire immediately.
-    const Timer t = timers_.top();
-    timers_.pop();
-    progress(t.proc);
-    return true;
-  }
-  if (!timers_.empty()) tTimer = timers_.top().at;
-  if (tNet == net::kNever && tTimer == net::kNever) return false;
-
-  if (tNet <= tTimer) {
-    now_ = std::max(now_, tNet);
-    dispatch(net_.popNext());
-  } else {
-    const Timer t = timers_.top();
-    timers_.pop();
-    now_ = std::max(now_, t.at);
-    progress(t.proc);
-  }
-  return true;
-}
-
-RunResult System::run(std::uint64_t maxEvents) {
-  sink_->onRunBegin(config_);
-  RunResult result = runLoop(maxEvents);
-  sink_->onRunEnd(result);
-  return result;
-}
-
-RunResult System::runLoop(std::uint64_t maxEvents) {
-  RunResult result;
-  std::uint64_t lastBound = totalOpsBound();
-  std::uint64_t lastBoundEvent = 0;
-  // Generous no-binding-progress window: NACK retry storms legitimately
-  // take many events, but an unbounded storm with zero bindings is a
-  // livelock.
-  const std::uint64_t window = 400'000 + 2'000ull * config_.numProcessors;
-
-  start();
-  while (result.eventsProcessed < maxEvents) {
-    if (!stepEvent()) {
-      result.endTime = now_;
-      result.opsBound = totalOpsBound();
-      if (allProgramsDone()) {
-        LCDC_EXPECT(quiescent(), "no events pending but not quiescent");
-        result.outcome = RunResult::Outcome::Quiescent;
-      } else {
-        result.outcome = RunResult::Outcome::Deadlock;
-        std::ostringstream os;
-        os << "no deliverable events; stalled processors:";
-        for (const auto& p : procs_) {
-          if (!p->done()) os << ' ' << p->id() << "@pc=" << p->pc();
-        }
-        result.detail = os.str();
-      }
-      return result;
-    }
-    result.eventsProcessed += 1;
-    if ((result.eventsProcessed & 0xFFF) == 0) {
-      const std::uint64_t bound = totalOpsBound();
-      if (bound != lastBound) {
-        lastBound = bound;
-        lastBoundEvent = result.eventsProcessed;
-      } else if (!allProgramsDone() &&
-                 result.eventsProcessed - lastBoundEvent > window) {
-        result.outcome = RunResult::Outcome::Livelock;
-        result.endTime = now_;
-        result.opsBound = bound;
-        result.detail = "no operation bound within the progress window";
-        return result;
-      }
-    }
-  }
-  result.endTime = now_;
-  result.opsBound = totalOpsBound();
-  return result;
-}
-
-void System::deliverManual(std::size_t idx) {
-  now_ += 1;
-  dispatch(net_.deliverIndex(idx));
 }
 
 bool System::deliverManualFirst(
@@ -228,6 +126,12 @@ bool System::injectBind(NodeId proc, BlockId block, OpKind kind, WordIdx word,
 void System::advanceTime(net::Tick ticks) {
   now_ += ticks;
   for (NodeId p = 0; p < procs_.size(); ++p) progress(p);
+}
+
+void System::describeStall(std::ostream& os) const {
+  for (const auto& p : procs_) {
+    if (!p->done()) os << ' ' << p->id() << "@pc=" << p->pc();
+  }
 }
 
 bool System::allProgramsDone() const {

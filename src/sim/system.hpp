@@ -12,12 +12,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "common/config.hpp"
 #include "common/run_result.hpp"
+#include "net/event_loop.hpp"
 #include "net/network.hpp"
 #include "proto/directory.hpp"
 #include "proto/events.hpp"
@@ -26,13 +27,13 @@
 
 namespace lcdc::sim {
 
-// RunResult moved to common/run_result.hpp (it is part of the observer
-// API: proto::EventSink::onRunEnd receives it); these aliases keep the
-// historical sim:: spelling working.
+// RunResult lives in common/run_result.hpp (the observer API uses it).
 using lcdc::RunResult;
 using lcdc::toString;
 
-class System {
+/// network(), now(), start(), stepEvent(), run() and deliverManual() come
+/// from the shared event loop.
+class System : public net::EventLoop<System> {
  public:
   System(const SystemConfig& config, proto::EventSink& sink,
          net::Network::Mode mode = net::Network::Mode::RandomLatency);
@@ -40,9 +41,7 @@ class System {
   [[nodiscard]] const SystemConfig& config() const { return config_; }
   [[nodiscard]] Processor& processor(NodeId i);
   [[nodiscard]] proto::DirectoryController& directory(std::size_t idx);
-  [[nodiscard]] net::Network& network() { return net_; }
   [[nodiscard]] NodeId home(BlockId b) const { return homeOf(b, config_); }
-  [[nodiscard]] net::Tick now() const { return now_; }
 
   /// Lvalue programs are copy-assigned into the processor's retained
   /// buffer (no allocation at steady state); rvalues are moved.
@@ -58,21 +57,8 @@ class System {
   /// byte-identical to a construct-then-run with the same seed.
   void reset(std::uint64_t seed);
 
-  /// Kick every processor once (issue the first round of requests).
-  void start();
-
-  /// Deliver the next due event (timed modes).  False when nothing is
-  /// pending.
-  bool stepEvent();
-
-  /// Run to quiescence / deadlock / livelock, or until maxEvents.
-  RunResult run(std::uint64_t maxEvents = 200'000'000);
-
   // -- manual-mode scripting (tests, scripted scenarios) ---------------------
 
-  /// Deliver the i-th pending message (Manual network mode), dispatching it
-  /// and letting the receiving processor progress.
-  void deliverManual(std::size_t idx);
   /// Deliver the first pending message satisfying `pred`; false if none.
   bool deliverManualFirst(
       const std::function<bool(const net::Envelope&)>& pred);
@@ -103,28 +89,16 @@ class System {
   [[nodiscard]] proto::CacheStats aggregateCacheStats() const;
 
  private:
-  RunResult runLoop(std::uint64_t maxEvents);
+  friend class net::EventLoop<System>;
   void dispatch(const net::Envelope& env);
-  void flush(NodeId src, proto::Outbox& out);
   void progress(NodeId proc);
-
-  struct Timer {
-    net::Tick at;
-    NodeId proc;
-    friend bool operator>(const Timer& a, const Timer& b) {
-      return a.at != b.at ? a.at > b.at : a.proc > b.proc;
-    }
-  };
+  void describeStall(std::ostream& os) const;
 
   SystemConfig config_;
-  proto::EventSink* sink_;
   Rng rng_;
-  net::Network net_;
   proto::TxnCounter txns_;
   std::vector<std::unique_ptr<Processor>> procs_;
   std::vector<std::unique_ptr<proto::DirectoryController>> dirs_;
-  std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
-  net::Tick now_ = 0;
   /// Scratch outbox reused across every dispatch/progress so spill
   /// capacity (bursts wider than the inline entries) is paid for once.
   proto::Outbox outbox_;

@@ -1,29 +1,14 @@
 #include "tardis/tardis_system.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/expect.hpp"
 
 namespace lcdc::tardis {
 
-namespace {
-
-bool sharersContain(const proto::NodeList& sharers, NodeId n) {
-  return std::find(sharers.begin(), sharers.end(), n) != sharers.end();
-}
-
-void sharersInsert(proto::NodeList& sharers, NodeId n) {
-  if (!sharersContain(sharers, n)) sharers.push_back(n);
-}
-
-}  // namespace
-
 TardisSystem::TardisSystem(const SystemConfig& config, proto::EventSink& sink,
                            net::Network::Mode mode)
-    : config_(config), sink_(&sink), rng_(config.seed),
-      net_(mode, Rng(config.seed ^ 0x6E657477'6F726BULL), config.minLatency,
-           config.maxLatency) {
+    : EventLoop(mode, config, sink), config_(config), rng_(config.seed) {
   // The run stream identifies its backend: streaming checkers configured
   // for a different protocol must refuse it (DESIGN.md §12).
   config_.protocol = ProtocolKind::Tardis;
@@ -36,21 +21,20 @@ TardisSystem::TardisSystem(const SystemConfig& config, proto::EventSink& sink,
         "tardis backend does not support the TSO store-buffer extension "
         "(storeBufferDepth must be 0)");
   }
-  if (config_.proto.mutant != Mutant::None &&
-      config_.proto.mutant != Mutant::DropLeaseBump) {
-    throw SimError(std::string("mutant '") + toString(config_.proto.mutant) +
-                   "' targets the directory protocol; the tardis backend "
-                   "only implements 'drop-lease-bump'");
+  for (NodeId d = 0; d < config_.numDirectories; ++d) {
+    homes_.emplace_back(config_.numProcessors + d, config_.proto, *sink_,
+                        txns_);
   }
-
   procs_.resize(config_.numProcessors);
   for (NodeId p = 0; p < config_.numProcessors; ++p) {
     procs_[p].id = p;
     procs_[p].stamper = clk::OpStamper(p);
     procs_[p].rng = rng_.fork();
+    caches_.emplace_back(p, config_, *sink_);
   }
   for (BlockId b = 0; b < config_.numBlocks; ++b) {
-    homes_[b].mem = BlockValue(config_.proto.wordsPerBlock, 0);
+    homes_[b % config_.numDirectories].addBlock(
+        b, BlockValue(config_.proto.wordsPerBlock, 0));
   }
 }
 
@@ -72,145 +56,69 @@ void TardisSystem::reset(std::uint64_t seed) {
   // in id order.
   config_.seed = seed;
   rng_ = Rng(seed);
-  net_.reset(Rng(seed ^ 0x6E657477'6F726BULL));
-  nextTxn_.store(1, std::memory_order_relaxed);
+  rewind(seed);
+  txns_.next.store(1, std::memory_order_relaxed);
   for (auto& p : procs_) {
     p.stamper.reset();
     p.rng = rng_.fork();
     p.pc = 0;
-    p.lines.clear();
-    p.wbPending.clear();
-    p.deferredFlush.clear();
     p.notBefore.clear();
-    p.waiting = false;
     p.opsBound = 0;
   }
-  for (auto& [block, e] : homes_) {
-    e.state = HomeState::Idle;
-    e.owner = kNoNode;
-    e.ownerGrantTs = 0;
-    e.rts = 0;
-    e.hc = 0;
-    e.serialCount = 0;
-    e.mem.assign(config_.proto.wordsPerBlock, 0);
-    e.sharers.clear();
-    e.pendingRequester = kNoNode;
-    e.pendingIsGetX = false;
-    e.pendingReqTs = 0;
-  }
-  while (!timers_.empty()) timers_.pop();
-  stats_ = TardisStats{};
-  now_ = 0;
-}
-
-void TardisSystem::send(NodeId src, NodeId dst, proto::Message msg) {
-  (void)net_.send(src, dst, now_, std::move(msg));
-}
-
-void TardisSystem::start() {
-  for (NodeId p = 0; p < procs_.size(); ++p) progress(p);
+  for (TardisCache& c : caches_) c.reset();
+  for (TardisHome& h : homes_) h.reset();
 }
 
 void TardisSystem::progress(NodeId proc) {
-  const net::Tick wake = procProgress(procs_[proc]);
-  if (wake != net::kNever) timers_.push(Timer{wake, proc});
+  wakeAt(proc, procProgress(procs_[proc]));
 }
 
 void TardisSystem::dispatch(const net::Envelope& env) {
-  if (env.dst < config_.numProcessors) {
-    procDeliver(procs_[env.dst], env.msg);
-    progress(env.dst);
-  } else {
-    homeHandle(env.msg);
+  proto::Outbox out;
+  if (env.dst >= config_.numProcessors) {
+    homes_[env.dst - config_.numProcessors].handle(env.msg, out);
+    flush(env.dst, out);
+    return;
   }
+  Proc& p = procs_[env.dst];
+  caches_[env.dst].handle(env.msg, out);
+  if (env.msg.type == proto::MsgType::Nack) {
+    p.notBefore[env.msg.block] =
+        now_ + config_.retryDelay + p.rng.uniform(0, config_.retryDelay);
+  } else if (env.msg.type == proto::MsgType::DataShared ||
+             env.msg.type == proto::MsgType::DataExclusive) {
+    p.notBefore.erase(env.msg.block);
+  }
+  flush(env.dst, out);
+  progress(env.dst);
 }
 
-bool TardisSystem::stepEvent() {
-  const net::Tick tNet = net_.empty() ? net::kNever : net_.nextDeliveryTime();
-  while (!timers_.empty() && timers_.top().at <= now_) {
-    const Timer t = timers_.top();
-    timers_.pop();
-    progress(t.proc);
-    return true;
-  }
-  const net::Tick tTimer = timers_.empty() ? net::kNever : timers_.top().at;
-  if (tNet == net::kNever && tTimer == net::kNever) return false;
+void TardisSystem::injectRequest(NodeId proc, BlockId block, ReqType req) {
+  proto::Outbox out;
+  caches_[proc].request(block, req, procs_[proc].stamper.lastGlobal(), out);
+  flush(proc, out);
+}
 
-  if (tNet <= tTimer) {
-    now_ = std::max(now_, tNet);
-    dispatch(net_.popNext());
-  } else {
-    const Timer t = timers_.top();
-    timers_.pop();
-    now_ = std::max(now_, t.at);
-    progress(t.proc);
+void TardisSystem::injectEvict(NodeId proc, BlockId block) {
+  proto::Outbox out;
+  caches_[proc].evict(block, out);
+  flush(proc, out);
+}
+
+bool TardisSystem::injectBind(NodeId proc, BlockId block, OpKind kind,
+                              WordIdx word, Word value) {
+  Proc& p = procs_[proc];
+  if (!caches_[proc].canBind(block, kind, p.stamper.lastGlobal())) {
+    return false;
   }
+  bindOp(p, kind, block, word, value);
   return true;
 }
 
-RunResult TardisSystem::run(std::uint64_t maxEvents) {
-  sink_->onRunBegin(config_);
-  RunResult result = runLoop(maxEvents);
-  sink_->onRunEnd(result);
-  return result;
-}
-
-RunResult TardisSystem::runLoop(std::uint64_t maxEvents) {
-  RunResult result;
-  std::uint64_t lastBound = totalOpsBound();
-  std::uint64_t lastBoundEvent = 0;
-  const std::uint64_t window = 400'000 + 2'000ull * config_.numProcessors;
-
-  start();
-  while (result.eventsProcessed < maxEvents) {
-    if (!stepEvent()) {
-      result.endTime = now_;
-      result.opsBound = totalOpsBound();
-      if (allProgramsDone()) {
-        LCDC_EXPECT(quiescent(), "no events pending but not quiescent");
-        result.outcome = RunResult::Outcome::Quiescent;
-      } else {
-        result.outcome = RunResult::Outcome::Deadlock;
-        std::ostringstream os;
-        os << "no deliverable events; stalled processors:";
-        for (const auto& p : procs_) {
-          if (p.pc < p.program.steps.size()) os << ' ' << p.id << "@pc=" << p.pc;
-        }
-        result.detail = os.str();
-      }
-      return result;
-    }
-    result.eventsProcessed += 1;
-    if ((result.eventsProcessed & 0xFFF) == 0) {
-      const std::uint64_t bound = totalOpsBound();
-      if (bound != lastBound) {
-        lastBound = bound;
-        lastBoundEvent = result.eventsProcessed;
-      } else if (!allProgramsDone() &&
-                 result.eventsProcessed - lastBoundEvent > window) {
-        result.outcome = RunResult::Outcome::Livelock;
-        result.endTime = now_;
-        result.opsBound = bound;
-        result.detail = "no operation bound within the progress window";
-        return result;
-      }
-    }
+void TardisSystem::describeStall(std::ostream& os) const {
+  for (const auto& p : procs_) {
+    if (p.pc < p.program.steps.size()) os << ' ' << p.id << "@pc=" << p.pc;
   }
-  result.endTime = now_;
-  result.opsBound = totalOpsBound();
-  return result;
-}
-
-void TardisSystem::deliverManual(std::size_t idx) {
-  now_ += 1;
-  dispatch(net_.deliverIndex(idx));
-}
-
-void TardisSystem::kick(NodeId proc) { progress(proc); }
-
-void TardisSystem::advanceTime(net::Tick ticks) {
-  now_ += ticks;
-  for (NodeId p = 0; p < procs_.size(); ++p) progress(p);
 }
 
 bool TardisSystem::allProgramsDone() const {
@@ -220,14 +128,11 @@ bool TardisSystem::allProgramsDone() const {
 }
 
 bool TardisSystem::quiescent() const {
-  if (!net_.empty()) return false;
-  for (const auto& p : procs_) {
-    if (p.waiting || !p.wbPending.empty()) return false;
-  }
-  for (const auto& [block, e] : homes_) {
-    if (e.state == HomeState::Busy) return false;
-  }
-  return true;
+  return net_.empty() &&
+         std::all_of(caches_.begin(), caches_.end(),
+                     [](const TardisCache& c) { return c.quiescent(); }) &&
+         std::all_of(homes_.begin(), homes_.end(),
+                     [](const TardisHome& h) { return h.quiescent(); });
 }
 
 std::uint64_t TardisSystem::totalOpsBound() const {
@@ -237,31 +142,28 @@ std::uint64_t TardisSystem::totalOpsBound() const {
 }
 
 GlobalTime TardisSystem::leaseFrontier(BlockId block) const {
-  const auto it = homes_.find(block);
-  LCDC_EXPECT(it != homes_.end(), "unknown block");
-  return it->second.rts;
+  return homes_[block % config_.numDirectories].entry(block).rts;
+}
+
+TardisStats TardisSystem::stats() const {
+  TardisStats s;
+  for (const TardisCache& c : caches_) s.add(c.stats());
+  for (const TardisHome& h : homes_) s.add(h.stats());
+  return s;
 }
 
 // -- processor side ----------------------------------------------------------
 
 net::Tick TardisSystem::procProgress(Proc& p) {
-  if (p.waiting) return net::kNever;
+  TardisCache& cache = caches_[p.id];
+  if (cache.waiting()) return net::kNever;
   while (p.pc < p.program.steps.size()) {
     const workload::Step& step = p.program.steps[p.pc];
     switch (step.kind) {
-      case workload::StepKind::Evict: {
-        const auto it = p.lines.find(step.block);
-        if (it != p.lines.end()) {
-          if (it->second.state == LineState::Exclusive) {
-            evictLine(p, step.block, it->second);
-          } else {
-            sink_->onPutShared(p.id, step.block);
-          }
-          p.lines.erase(it);
-        }
+      case workload::StepKind::Evict:
+        injectEvict(p.id, step.block);
         p.pc += 1;
         continue;
-      }
       case workload::StepKind::PrefetchShared:
       case workload::StepKind::PrefetchExclusive:
         // Tardis has no speculative grant worth modelling here: a prefetch
@@ -275,534 +177,33 @@ net::Tick TardisSystem::procProgress(Proc& p) {
 
     // A re-request for a block whose Writeback is still un-acked must wait
     // for the WbAck (the single writeback record per block is our MSHR).
-    if (p.wbPending.contains(step.block)) return net::kNever;
+    if (cache.wbPending(step.block)) return net::kNever;
 
-    const auto it = p.lines.find(step.block);
-    Line* line = it != p.lines.end() ? &it->second : nullptr;
-    if (line && line->state == LineState::Exclusive) {
-      bindOp(p, *line, step);
+    const OpKind kind = step.kind == workload::StepKind::Store ? OpKind::Store
+                                                               : OpKind::Load;
+    if (cache.canBind(step.block, kind, p.stamper.lastGlobal())) {
+      bindOp(p, kind, step.block, step.word, step.storeValue);
       p.pc += 1;
       continue;
     }
-    if (step.kind == workload::StepKind::Load && line &&
-        line->state == LineState::SharedLease) {
-      if (p.stamper.lastGlobal() <= line->leaseEnd) {
-        bindOp(p, *line, step);
-        p.pc += 1;
-        continue;
-      }
-      // Lease expired in logical time: renew before binding.  The Renew
-      // carries our frozen clock, so the home's fresh frontier always
-      // clears it — one round trip, no renew storm.
-      const auto nb = p.notBefore.find(step.block);
-      if (nb != p.notBefore.end() && nb->second > now_) return nb->second;
-      stats_.leaseExpiries += 1;
-      sendRequest(p, step.block, proto::MsgType::Renew);
-      return net::kNever;
-    }
-    // Miss: Load needs a lease, Store needs exclusivity.
+    // Miss: a Load needs a lease, a Store exclusivity.  A Load on a held
+    // lease that failed to bind found it expired in logical time: the
+    // request is a Renew carrying our frozen clock, so the home's fresh
+    // frontier always clears it — one round trip, no renew storm.
     const auto nb = p.notBefore.find(step.block);
     if (nb != p.notBefore.end() && nb->second > now_) return nb->second;
-    sendRequest(p, step.block,
-                step.kind == workload::StepKind::Load ? proto::MsgType::GetS
-                                                      : proto::MsgType::GetX);
+    injectRequest(p.id, step.block,
+                  kind == OpKind::Load ? ReqType::GetShared
+                                       : ReqType::GetExclusive);
     return net::kNever;
   }
   return net::kNever;
 }
 
-void TardisSystem::sendRequest(Proc& p, BlockId block, proto::MsgType type) {
-  proto::Message m;
-  m.type = type;
-  m.block = block;
-  m.requester = p.id;
-  m.reqTs = p.stamper.lastGlobal();
-  send(p.id, home(block), std::move(m));
-  p.waiting = true;
-  p.waitBlock = block;
-}
-
-void TardisSystem::bindOp(Proc& p, Line& line, const workload::Step& step) {
-  const Timestamp ts = p.stamper.stamp(line.grantTs);
-  Word value = 0;
-  if (step.kind == workload::StepKind::Store) {
-    line.data[step.word] = step.storeValue;
-    value = step.storeValue;
-  } else {
-    value = line.data[step.word];
-  }
-  if (line.state == LineState::Exclusive && ts.global > line.flushTs) {
-    line.flushTs = ts.global;
-  }
-  proto::OpRecord op;
-  op.proc = p.id;
-  op.progIdx = p.opsBound;
-  op.kind = step.kind == workload::StepKind::Store ? OpKind::Store
-                                                   : OpKind::Load;
-  op.block = step.block;
-  op.word = step.word;
-  op.value = value;
-  op.boundTxn = line.txn;
-  op.boundSerial = line.serial;
-  op.ts = ts;
-  sink_->onOperation(op);
+void TardisSystem::bindOp(Proc& p, OpKind kind, BlockId block, WordIdx word,
+                          Word value) {
+  caches_[p.id].bind(block, kind, word, value, p.stamper, p.opsBound);
   p.opsBound += 1;
-}
-
-void TardisSystem::installLine(Proc& p, BlockId block, LineState s,
-                               const proto::Message& m) {
-  Line& line = p.lines[block];
-  line.state = s;
-  line.grantTs = m.grantTs;
-  line.leaseEnd = m.leaseEnd;
-  line.flushTs = m.grantTs;
-  line.txn = m.txn;
-  line.serial = m.serial;
-  line.data = m.data;
-  maybeCapacityEvict(p, block);
-}
-
-void TardisSystem::evictLine(Proc& p, BlockId block, Line& line) {
-  proto::Message wb;
-  wb.type = proto::MsgType::Writeback;
-  wb.block = block;
-  wb.requester = p.id;
-  wb.flushTs = line.flushTs;
-  wb.grantTs = line.grantTs;  // names the ownership epoch this Wb closes
-  wb.data = line.data;
-  p.wbPending.emplace(block, WbRecord{line.flushTs, line.grantTs, line.data});
-  send(p.id, home(block), std::move(wb));
-}
-
-void TardisSystem::maybeCapacityEvict(Proc& p, BlockId incoming) {
-  if (config_.cacheCapacity == 0 || p.lines.size() <= config_.cacheCapacity) {
-    return;
-  }
-  // Deterministic victim: the lowest-numbered other block, leased lines
-  // first (they cost nothing to drop).
-  BlockId sharedVictim = kNoNode;
-  BlockId anyVictim = kNoNode;
-  for (const auto& [b, line] : p.lines) {
-    if (b == incoming) continue;
-    if (line.state == LineState::SharedLease && b < sharedVictim) {
-      sharedVictim = b;
-    }
-    if (b < anyVictim) anyVictim = b;
-  }
-  const BlockId victim = sharedVictim != kNoNode ? sharedVictim : anyVictim;
-  if (victim == kNoNode) return;
-  const auto it = p.lines.find(victim);
-  if (it->second.state == LineState::Exclusive) {
-    evictLine(p, victim, it->second);
-  } else {
-    sink_->onPutShared(p.id, victim);
-  }
-  p.lines.erase(it);
-  stats_.capacityEvictions += 1;
-}
-
-void TardisSystem::procDeliver(Proc& p, const proto::Message& m) {
-  switch (m.type) {
-    case proto::MsgType::DataShared:
-      installLine(p, m.block, LineState::SharedLease, m);
-      p.waiting = false;
-      p.notBefore.erase(m.block);
-      // A parked FlushReq can only be stale here (it named an exclusive
-      // grant; this reply is a lease): drop it.
-      p.deferredFlush.erase(m.block);
-      return;
-    case proto::MsgType::DataExclusive: {
-      installLine(p, m.block, LineState::Exclusive, m);
-      p.waiting = false;
-      p.notBefore.erase(m.block);
-      const auto df = p.deferredFlush.find(m.block);
-      if (df != p.deferredFlush.end()) {
-        const bool ours = df->second == m.grantTs;
-        p.deferredFlush.erase(df);
-        if (ours) {
-          // The FlushReq that overtook this very grant: the home is Busy
-          // waiting on us, so hand the block straight back.  No op was
-          // bound, so the line's flushTs is still the grant ts.
-          const auto it = p.lines.find(m.block);
-          proto::Message fd;
-          fd.type = proto::MsgType::FlushData;
-          fd.block = m.block;
-          fd.requester = p.id;
-          fd.flushTs = it->second.flushTs;
-          fd.grantTs = it->second.grantTs;
-          fd.data = it->second.data;
-          p.lines.erase(it);
-          send(p.id, home(m.block), std::move(fd));
-          stats_.flushes += 1;
-          stats_.deferredFlushes += 1;
-        }
-      }
-      return;
-    }
-    case proto::MsgType::Nack:
-      p.waiting = false;
-      p.notBefore[m.block] =
-          now_ + config_.retryDelay + p.rng.uniform(0, config_.retryDelay);
-      stats_.retriesIssued += 1;
-      // A parked FlushReq named a grant this nacked request will never
-      // receive: it was stale (a previous ownership's flush).
-      p.deferredFlush.erase(m.block);
-      return;
-    case proto::MsgType::FlushReq: {
-      const auto it = p.lines.find(m.block);
-      // The grant-ts match is load-bearing: a stale FlushReq (its Busy
-      // epoch already completed through our Writeback) can arrive after we
-      // re-acquired the block, and answering it would flush the NEW line
-      // while the home still records us as its owner.
-      if (it != p.lines.end() && it->second.state == LineState::Exclusive &&
-          it->second.grantTs == m.grantTs) {
-        proto::Message fd;
-        fd.type = proto::MsgType::FlushData;
-        fd.block = m.block;
-        fd.requester = p.id;
-        fd.flushTs = it->second.flushTs;
-        fd.grantTs = it->second.grantTs;
-        fd.data = it->second.data;
-        p.lines.erase(it);
-        send(p.id, home(m.block), std::move(fd));
-        stats_.flushes += 1;
-        return;
-      }
-      if (const auto wb = p.wbPending.find(m.block); wb != p.wbPending.end()) {
-        // The eviction raced the flush: re-supply the written-back copy so
-        // the home can complete whichever of the two reaches it first.
-        proto::Message fd;
-        fd.type = proto::MsgType::FlushData;
-        fd.block = m.block;
-        fd.requester = p.id;
-        fd.flushTs = wb->second.flushTs;
-        fd.grantTs = wb->second.grantTs;
-        fd.data = wb->second.data;
-        send(p.id, home(m.block), std::move(fd));
-        stats_.flushes += 1;
-        return;
-      }
-      if (p.waiting && p.waitBlock == m.block) {
-        // The FlushReq raced past its own grant on the unordered network:
-        // the home went Busy the instant it granted us exclusivity, and
-        // its flush request beat the DataExclusive here.  Park it keyed by
-        // the grant ts it names — procDeliver answers it the moment the
-        // matching grant lands.  (A stale flush from a previous ownership
-        // carries an older grant ts and can never match.)
-        p.deferredFlush[m.block] = m.grantTs;
-        return;
-      }
-      // Nothing held and nothing pending: the home was already satisfied
-      // through our Writeback; drop.
-      return;
-    }
-    case proto::MsgType::WbAck:
-      p.wbPending.erase(m.block);
-      return;
-    default:
-      LCDC_EXPECT(false, "unexpected message at a tardis processor");
-  }
-}
-
-// -- home side ---------------------------------------------------------------
-
-void TardisSystem::homeHandle(const proto::Message& m) {
-  const auto it = homes_.find(m.block);
-  LCDC_EXPECT(it != homes_.end(), "message for unknown block");
-  HomeEntry& e = it->second;
-  switch (m.type) {
-    case proto::MsgType::GetS:
-    case proto::MsgType::Renew:
-      homeGetS(e, m, m.type == proto::MsgType::Renew);
-      return;
-    case proto::MsgType::GetX:
-      homeGetX(e, m);
-      return;
-    case proto::MsgType::Writeback:
-      homeWriteback(e, m);
-      return;
-    case proto::MsgType::FlushData:
-      homeFlushData(e, m);
-      return;
-    default:
-      LCDC_EXPECT(false, "unexpected message at a tardis home");
-  }
-}
-
-void TardisSystem::homeGetS(HomeEntry& e, const proto::Message& m,
-                            bool isRenew) {
-  switch (e.state) {
-    case HomeState::Busy:
-      sendNack(m.block, m.requester, NackKind::GetS_Busy, ReqType::GetShared);
-      return;
-    case HomeState::Exclusive:
-      LCDC_EXPECT(e.owner != m.requester, "owner re-requesting a lease");
-      e.state = HomeState::Busy;
-      e.pendingRequester = m.requester;
-      e.pendingIsGetX = false;
-      e.pendingReqTs = m.reqTs;
-      if (isRenew) stats_.leaseRenewals += 1;
-      {
-        proto::Message fr;
-        fr.type = proto::MsgType::FlushReq;
-        fr.block = m.block;
-        fr.requester = m.requester;
-        fr.grantTs = e.ownerGrantTs;
-        send(home(m.block), e.owner, std::move(fr));
-      }
-      return;
-    case HomeState::Idle:
-    case HomeState::Shared:
-      if (isRenew) stats_.leaseRenewals += 1;
-      grantShared(e, m.block, m.requester, m.reqTs,
-                  e.state == HomeState::Idle ? TxnKind::GetS_Idle
-                                             : TxnKind::GetS_Shared);
-      return;
-  }
-}
-
-void TardisSystem::homeGetX(HomeEntry& e, const proto::Message& m) {
-  switch (e.state) {
-    case HomeState::Busy:
-      sendNack(m.block, m.requester, NackKind::GetX_Busy,
-               ReqType::GetExclusive);
-      return;
-    case HomeState::Exclusive:
-      LCDC_EXPECT(e.owner != m.requester, "owner re-requesting exclusivity");
-      e.state = HomeState::Busy;
-      e.pendingRequester = m.requester;
-      e.pendingIsGetX = true;
-      e.pendingReqTs = m.reqTs;
-      {
-        proto::Message fr;
-        fr.type = proto::MsgType::FlushReq;
-        fr.block = m.block;
-        fr.requester = m.requester;
-        fr.grantTs = e.ownerGrantTs;
-        send(home(m.block), e.owner, std::move(fr));
-      }
-      return;
-    case HomeState::Idle:
-    case HomeState::Shared:
-      grantExclusive(e, m.block, m.requester, m.reqTs);
-      return;
-  }
-}
-
-void TardisSystem::homeWriteback(HomeEntry& e, const proto::Message& m) {
-  const NodeId self = home(m.block);
-  // The epoch match (grantTs == ownerGrantTs) is load-bearing: a stale
-  // flush from an earlier ownership of the SAME node can linger in flight
-  // and must not close an epoch it does not name — completing a later Busy
-  // period early would hand out a second exclusive copy.
-  if (e.state == HomeState::Exclusive && e.owner == m.requester &&
-      m.grantTs == e.ownerGrantTs) {
-    const proto::TxnInfo txn =
-        serializeTxn(e, m.block, TxnKind::Wb_Exclusive, m.requester);
-    const GlobalTime tsD = 1 + std::max(e.hc, m.flushTs);
-    emitStamp(e, m.requester, txn, proto::StampRole::Downgrade, tsD, AState::X,
-              AState::I);
-    // The home takes the block back at the same instant: its A_I -> A_X
-    // change is the transaction's unique upgrade (Claim 3(a) holds with
-    // equality, as in the bus companion).
-    emitStamp(e, self, txn, proto::StampRole::Upgrade, tsD, AState::I,
-              AState::X);
-    e.mem = m.data;
-    e.state = HomeState::Idle;
-    e.owner = kNoNode;
-    e.ownerGrantTs = 0;
-    sink_->onValueReceived(self, txn.id, m.block, e.mem);
-    stats_.writebacks += 1;
-  } else if (e.state == HomeState::Busy && e.owner == m.requester &&
-             m.grantTs == e.ownerGrantTs) {
-    // The owner's eviction raced our FlushReq; its written-back copy is the
-    // flush data.  The pending transaction completes, and the later
-    // FlushData resend (if any) arrives stale.
-    homeCompleteBusy(e, m.block, m.flushTs, m.data);
-  } else {
-    stats_.staleWbAcks += 1;
-  }
-  proto::Message ack;
-  ack.type = proto::MsgType::WbAck;
-  ack.block = m.block;
-  ack.requester = m.requester;
-  send(self, m.requester, std::move(ack));
-}
-
-void TardisSystem::homeFlushData(HomeEntry& e, const proto::Message& m) {
-  if (e.state == HomeState::Busy && e.owner == m.requester &&
-      m.grantTs == e.ownerGrantTs) {
-    homeCompleteBusy(e, m.block, m.flushTs, m.data);
-  } else {
-    // Stale: the racing Writeback got there first and completed the
-    // transaction, or the flush names an earlier ownership epoch of the
-    // same node (see homeWriteback).
-    stats_.staleFlushDrops += 1;
-  }
-}
-
-void TardisSystem::homeCompleteBusy(HomeEntry& e, BlockId block,
-                                    GlobalTime flushTs,
-                                    const BlockValue& data) {
-  const NodeId self = home(block);
-  const NodeId oldOwner = e.owner;
-  const NodeId r = e.pendingRequester;
-  const TxnKind kind =
-      e.pendingIsGetX ? TxnKind::GetX_Exclusive : TxnKind::GetS_Exclusive;
-  const proto::TxnInfo txn = serializeTxn(e, block, kind, r);
-  const GlobalTime tsD = 1 + std::max(e.hc, flushTs);
-  emitStamp(e, oldOwner, txn, proto::StampRole::Downgrade, tsD, AState::X,
-            AState::I);
-  // hc absorbed tsD, so the grant lands strictly above the flushed
-  // owner's last write — Lemma 1's owner-to-owner handoff.
-  const GlobalTime u = 1 + std::max(e.hc, e.pendingReqTs);
-  e.mem = data;
-  proto::Message reply;
-  reply.block = block;
-  reply.requester = r;
-  reply.txn = txn.id;
-  reply.serial = txn.serial;
-  reply.grantTs = u;
-  reply.data = e.mem;
-  if (e.pendingIsGetX) {
-    emitStamp(e, self, txn, proto::StampRole::Downgrade, u, AState::I,
-              AState::I);
-    emitStamp(e, r, txn, proto::StampRole::Upgrade, u, AState::I, AState::X);
-    e.state = HomeState::Exclusive;
-    e.owner = r;
-    e.ownerGrantTs = u;
-    reply.type = proto::MsgType::DataExclusive;
-    stats_.exclusiveGrants += 1;
-  } else {
-    emitStamp(e, self, txn, proto::StampRole::Downgrade, u, AState::I,
-              AState::S);
-    emitStamp(e, r, txn, proto::StampRole::Upgrade, u, AState::I, AState::S);
-    extendLease(e, u);
-    e.sharers.clear();
-    sharersInsert(e.sharers, r);
-    e.state = HomeState::Shared;
-    e.owner = kNoNode;
-    e.ownerGrantTs = 0;
-    reply.type = proto::MsgType::DataShared;
-    reply.leaseEnd = e.rts;
-    stats_.sharedGrants += 1;
-  }
-  e.pendingRequester = kNoNode;
-  e.pendingReqTs = 0;
-  send(self, r, std::move(reply));
-  sink_->onValueReceived(r, txn.id, block, e.mem);
-}
-
-void TardisSystem::grantShared(HomeEntry& e, BlockId block, NodeId requester,
-                               GlobalTime reqTs, TxnKind kind) {
-  const NodeId self = home(block);
-  const proto::TxnInfo txn = serializeTxn(e, block, kind, requester);
-  const GlobalTime u = 1 + std::max(e.hc, reqTs);
-  emitStamp(e, self, txn, proto::StampRole::Downgrade, u,
-            e.state == HomeState::Idle ? AState::X : AState::S, AState::S);
-  emitStamp(e, requester, txn, proto::StampRole::Upgrade, u,
-            sharersContain(e.sharers, requester) ? AState::S : AState::I,
-            AState::S);
-  extendLease(e, u);
-  sharersInsert(e.sharers, requester);
-  e.state = HomeState::Shared;
-
-  proto::Message reply;
-  reply.type = proto::MsgType::DataShared;
-  reply.block = block;
-  reply.requester = requester;
-  reply.txn = txn.id;
-  reply.serial = txn.serial;
-  reply.grantTs = u;
-  reply.leaseEnd = e.rts;
-  reply.data = e.mem;
-  send(self, requester, std::move(reply));
-  sink_->onValueReceived(requester, txn.id, block, e.mem);
-  stats_.sharedGrants += 1;
-}
-
-void TardisSystem::grantExclusive(HomeEntry& e, BlockId block,
-                                  NodeId requester, GlobalTime reqTs) {
-  const NodeId self = home(block);
-  const bool wasSharer = sharersContain(e.sharers, requester);
-  const TxnKind kind = e.state == HomeState::Idle
-                           ? TxnKind::GetX_Idle
-                           : (wasSharer ? TxnKind::Upg_Shared
-                                        : TxnKind::GetX_Shared);
-  const proto::TxnInfo txn = serializeTxn(e, block, kind, requester);
-  const GlobalTime u = 1 + std::max(e.hc, reqTs);
-  // Every outstanding lease ends at the frontier: the leased readers'
-  // S -> I downgrades are stamped just past it.  No message is sent to
-  // them — this is the invalidation-free trick, and u > rts (the bump
-  // Mutant::DropLeaseBump omits) is what keeps Claim 3(a)/Lemma 1 intact.
-  for (const NodeId s : e.sharers) {
-    if (s == requester) continue;
-    emitStamp(e, s, txn, proto::StampRole::Downgrade, e.rts + 1, AState::S,
-              AState::I);
-  }
-  emitStamp(e, self, txn, proto::StampRole::Downgrade, u,
-            e.state == HomeState::Idle ? AState::X : AState::S, AState::I);
-  emitStamp(e, requester, txn, proto::StampRole::Upgrade, u,
-            wasSharer ? AState::S : AState::I, AState::X);
-  e.sharers.clear();
-  e.state = HomeState::Exclusive;
-  e.owner = requester;
-  e.ownerGrantTs = u;
-
-  proto::Message reply;
-  reply.type = proto::MsgType::DataExclusive;
-  reply.block = block;
-  reply.requester = requester;
-  reply.txn = txn.id;
-  reply.serial = txn.serial;
-  reply.grantTs = u;
-  reply.data = e.mem;
-  send(self, requester, std::move(reply));
-  sink_->onValueReceived(requester, txn.id, block, e.mem);
-  stats_.exclusiveGrants += 1;
-}
-
-proto::TxnInfo TardisSystem::serializeTxn(HomeEntry& e, BlockId block,
-                                          TxnKind kind, NodeId requester) {
-  proto::TxnInfo info;
-  info.id = nextTxn_.fetch_add(1, std::memory_order_relaxed);
-  info.serial = ++e.serialCount;
-  info.kind = kind;
-  info.block = block;
-  info.requester = requester;
-  sink_->onSerialize(info);
-  stats_.txnsSerialized += 1;
-  return info;
-}
-
-void TardisSystem::emitStamp(HomeEntry& e, NodeId node,
-                             const proto::TxnInfo& txn, proto::StampRole role,
-                             GlobalTime ts, AState oldA, AState newA) {
-  sink_->onStamp(node, txn.id, txn.serial, txn.block, role, ts, oldA, newA);
-  if (ts > e.hc) e.hc = ts;
-}
-
-void TardisSystem::extendLease(HomeEntry& e, GlobalTime u) {
-  const GlobalTime frontier = u + config_.proto.leaseLength;
-  if (frontier > e.rts) e.rts = frontier;
-  // The bump: the entry clock must clear the frontier so the next
-  // exclusive grant is stamped above every outstanding lease.
-  if (config_.proto.mutant != Mutant::DropLeaseBump && e.rts > e.hc) {
-    e.hc = e.rts;
-  }
-}
-
-void TardisSystem::sendNack(BlockId block, NodeId requester, NackKind kind,
-                            ReqType req) {
-  proto::Message m;
-  m.type = proto::MsgType::Nack;
-  m.block = block;
-  m.requester = requester;
-  m.nackKind = kind;
-  m.nackedReq = req;
-  send(home(block), requester, std::move(m));
-  sink_->onNack(requester, block, kind);
-  stats_.nacksSent += 1;
 }
 
 }  // namespace lcdc::tardis

@@ -41,10 +41,8 @@
 // indifferent — every bound load still lands inside a valid epoch.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <queue>
-#include <string>
+#include <ostream>
 #include <unordered_map>
 #include <vector>
 
@@ -52,48 +50,31 @@
 #include "common/config.hpp"
 #include "common/rng.hpp"
 #include "common/run_result.hpp"
+#include "net/event_loop.hpp"
 #include "net/network.hpp"
 #include "proto/events.hpp"
 #include "proto/messages.hpp"
+#include "tardis/controllers.hpp"
 #include "workload/program.hpp"
 
 namespace lcdc::tardis {
 
 using lcdc::RunResult;
 
-/// Aggregate counters over the whole run (leases are the interesting part:
-/// random traffic almost never expires a lease unless leaseLength is small).
-struct TardisStats {
-  std::uint64_t txnsSerialized = 0;
-  std::uint64_t sharedGrants = 0;     ///< Get-Shared/Renew transactions
-  std::uint64_t exclusiveGrants = 0;  ///< Get-Exclusive transactions
-  std::uint64_t leaseRenewals = 0;    ///< of the shared grants: Renew-typed
-  std::uint64_t leaseExpiries = 0;    ///< reader found its lease expired
-  std::uint64_t flushes = 0;          ///< FlushReq answered with FlushData
-  /// Of the flushes: the FlushReq overtook its own DataExclusive on the
-  /// unordered network and was answered the moment the grant arrived.
-  std::uint64_t deferredFlushes = 0;
-  std::uint64_t writebacks = 0;       ///< Writeback transactions serialized
-  std::uint64_t nacksSent = 0;
-  std::uint64_t staleWbAcks = 0;      ///< stale writebacks acked, no txn
-  std::uint64_t staleFlushDrops = 0;  ///< stale FlushData dropped
-  std::uint64_t retriesIssued = 0;
-  std::uint64_t capacityEvictions = 0;
-};
-
-/// The full Tardis machine: processors + homes over the same unordered
-/// net::Network as the directory simulator, driven as a deterministic
-/// discrete-event simulation with the identical node numbering (processors
-/// 0..P-1, homes P..P+D-1) and observation stream.
-class TardisSystem {
+/// The full Tardis machine: processors + homes on the directory
+/// simulator's event loop (`net/event_loop.hpp`: the unordered network,
+/// retry timers, node numbering and observation stream are the same).
+/// The protocol lives in the controllers (`controllers.hpp`); this class
+/// owns what is not protocol: each processor's program walk, Lamport
+/// operation stamper and NACK retry pacing (its only random draw).
+class TardisSystem : public net::EventLoop<TardisSystem> {
  public:
   TardisSystem(const SystemConfig& config, proto::EventSink& sink,
                net::Network::Mode mode = net::Network::Mode::RandomLatency);
 
   [[nodiscard]] const SystemConfig& config() const { return config_; }
-  [[nodiscard]] net::Network& network() { return net_; }
-  [[nodiscard]] net::Tick now() const { return now_; }
-  [[nodiscard]] const TardisStats& stats() const { return stats_; }
+  /// Every controller's counters plus the processors' own, summed.
+  [[nodiscard]] TardisStats stats() const;
 
   void setProgram(NodeId proc, const workload::Program& program);
   void setProgram(NodeId proc, workload::Program&& program);
@@ -102,20 +83,14 @@ class TardisSystem {
   /// (same RNG derivations as the constructor; container capacity kept).
   void reset(std::uint64_t seed);
 
-  /// Kick every processor once (issue the first round of requests).
-  void start();
-
-  /// Deliver the next due event (timed modes).  False when nothing is
-  /// pending.
-  bool stepEvent();
-
-  /// Run to quiescence / deadlock / livelock, or until maxEvents.
-  RunResult run(std::uint64_t maxEvents = 200'000'000);
-
-  // -- manual-mode scripting (tests) ----------------------------------------
-  void deliverManual(std::size_t idx);
-  void kick(NodeId proc);
-  void advanceTime(net::Tick ticks);
+  // -- manual-mode scripting (counterexample replay) -------------------------
+  /// Issue a request for `block` now, bypassing the program.
+  void injectRequest(NodeId proc, BlockId block, ReqType req);
+  /// Evict `block` now (`TardisCache::evict`).
+  void injectEvict(NodeId proc, BlockId block);
+  /// Bind one op outside the program if the cache permits it now.
+  bool injectBind(NodeId proc, BlockId block, OpKind kind, WordIdx word,
+                  Word value);
 
   // -- state inspection ------------------------------------------------------
   [[nodiscard]] bool allProgramsDone() const;
@@ -123,138 +98,34 @@ class TardisSystem {
   [[nodiscard]] std::uint64_t totalOpsBound() const;
   /// The block's current read-lease frontier rts at its home.
   [[nodiscard]] GlobalTime leaseFrontier(BlockId block) const;
-  [[nodiscard]] NodeId home(BlockId block) const {
-    return config_.numProcessors +
-           static_cast<NodeId>(block % config_.numDirectories);
-  }
 
  private:
-  // -- home side -------------------------------------------------------------
-
-  enum class HomeState : std::uint8_t { Idle, Shared, Exclusive, Busy };
-
-  struct HomeEntry {
-    HomeState state = HomeState::Idle;
-    NodeId owner = kNoNode;  ///< Exclusive/Busy: current owner (the flusher)
-    /// The owner's grant timestamp.  Carried in FlushReq so the owner can
-    /// tell a flush aimed at its in-flight grant from a stale one: grant
-    /// timestamps strictly increase per block, so they name the epoch.
-    GlobalTime ownerGrantTs = 0;
-    GlobalTime rts = 0;      ///< read-lease frontier
-    GlobalTime hc = 0;       ///< entry clock; absorbs every emitted stamp
-    SerialIdx serialCount = 0;
-    BlockValue mem;
-    /// Leased readers (bookkeeping for A-state attribution; Tardis never
-    /// sends them anything — their leases simply end at rts).
-    proto::NodeList sharers;
-    // Busy: the single parked request the flush will satisfy.
-    NodeId pendingRequester = kNoNode;
-    bool pendingIsGetX = false;
-    GlobalTime pendingReqTs = 0;
-  };
-
-  void homeHandle(const proto::Message& m);
-  void homeGetS(HomeEntry& e, const proto::Message& m, bool isRenew);
-  void homeGetX(HomeEntry& e, const proto::Message& m);
-  void homeWriteback(HomeEntry& e, const proto::Message& m);
-  void homeFlushData(HomeEntry& e, const proto::Message& m);
-  /// Serialize the parked request once the owner's data (FlushData or a
-  /// racing Writeback) reaches the home.
-  void homeCompleteBusy(HomeEntry& e, BlockId block, GlobalTime flushTs,
-                        const BlockValue& data);
-  void grantShared(HomeEntry& e, BlockId block, NodeId requester,
-                   GlobalTime reqTs, TxnKind kind);
-  void grantExclusive(HomeEntry& e, BlockId block, NodeId requester,
-                      GlobalTime reqTs);
-
-  proto::TxnInfo serializeTxn(HomeEntry& e, BlockId block, TxnKind kind,
-                              NodeId requester);
-  /// Emit one stamp on the home's authority and absorb it into hc.
-  void emitStamp(HomeEntry& e, NodeId node, const proto::TxnInfo& txn,
-                 proto::StampRole role, GlobalTime ts, AState oldA,
-                 AState newA);
-  /// Extend the lease frontier past `u` and (unless Mutant::DropLeaseBump)
-  /// bump hc over it so the next exclusive grant clears every lease.
-  void extendLease(HomeEntry& e, GlobalTime u);
-  void sendNack(BlockId block, NodeId requester, NackKind kind, ReqType req);
-
-  // -- processor side --------------------------------------------------------
-
-  enum class LineState : std::uint8_t { Invalid, SharedLease, Exclusive };
-
-  struct Line {
-    LineState state = LineState::Invalid;
-    GlobalTime grantTs = 0;   ///< upgrade ts of the granting transaction
-    GlobalTime leaseEnd = 0;  ///< SharedLease: rts at grant time
-    GlobalTime flushTs = 0;   ///< Exclusive: running write frontier
-    TransactionId txn = kNoTransaction;
-    SerialIdx serial = 0;
-    BlockValue data;
-  };
-
-  /// An evicted exclusive line whose Writeback is still un-acked; kept so a
-  /// racing FlushReq can be answered from it.
-  struct WbRecord {
-    GlobalTime flushTs = 0;
-    GlobalTime grantTs = 0;  ///< the evicted epoch's grant ts (what it closes)
-    BlockValue data;
-  };
-
+  friend class net::EventLoop<TardisSystem>;
   struct Proc {
     NodeId id = 0;
     clk::OpStamper stamper{0};
     Rng rng{0};
     workload::Program program;
     std::size_t pc = 0;
-    std::unordered_map<BlockId, Line> lines;
-    std::unordered_map<BlockId, WbRecord> wbPending;
-    /// FlushReqs that overtook their own DataExclusive on the unordered
-    /// network (block -> the grant ts the FlushReq named).  Answered the
-    /// moment the matching grant lands; a mismatched entry is a stale
-    /// flush from a previous ownership and is dropped with the reply.
-    std::unordered_map<BlockId, GlobalTime> deferredFlush;
     std::unordered_map<BlockId, net::Tick> notBefore;
-    bool waiting = false;  ///< one outstanding request (in-order processor)
-    BlockId waitBlock = 0;
     std::uint64_t opsBound = 0;
   };
 
-  void procDeliver(Proc& p, const proto::Message& m);
   /// Advance: bind every bindable step, issue at most one request.  Returns
   /// the wake tick when pacing a retry (net::kNever otherwise).
   net::Tick procProgress(Proc& p);
-  void bindOp(Proc& p, Line& line, const workload::Step& step);
-  void installLine(Proc& p, BlockId block, LineState s,
-                   const proto::Message& m);
-  void evictLine(Proc& p, BlockId block, Line& line);
-  void maybeCapacityEvict(Proc& p, BlockId incoming);
-  void sendRequest(Proc& p, BlockId block, proto::MsgType type);
+  void bindOp(Proc& p, OpKind kind, BlockId block, WordIdx word, Word value);
 
-  // -- event loop ------------------------------------------------------------
-
-  struct Timer {
-    net::Tick at;
-    NodeId proc;
-    friend bool operator>(const Timer& a, const Timer& b) {
-      return a.at != b.at ? a.at > b.at : a.proc > b.proc;
-    }
-  };
-
-  RunResult runLoop(std::uint64_t maxEvents);
   void dispatch(const net::Envelope& env);
   void progress(NodeId proc);
-  void send(NodeId src, NodeId dst, proto::Message msg);
+  void describeStall(std::ostream& os) const;
 
   SystemConfig config_;
-  proto::EventSink* sink_;
   Rng rng_;
-  net::Network net_;
-  std::atomic<TransactionId> nextTxn_{1};
+  proto::TxnCounter txns_;
   std::vector<Proc> procs_;
-  std::unordered_map<BlockId, HomeEntry> homes_;
-  std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
-  net::Tick now_ = 0;
-  TardisStats stats_;
+  std::vector<TardisCache> caches_;
+  std::vector<TardisHome> homes_;  ///< one per directory slice
 };
 
 }  // namespace lcdc::tardis

@@ -6,6 +6,9 @@
 // schedule must drain and verify.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "testutil.hpp"
 
 namespace lcdc {
@@ -77,14 +80,22 @@ constexpr AdversaryParam kAdversary[] = {
     {10, 8, 4, 3, true}, {11, 4, 2, 2, true}, {12, 6, 3, 2, true},
 };
 
+std::string adversaryLabel(const AdversaryParam& prm) {
+  return "s" + std::to_string(prm.seed) + "p" + std::to_string(prm.procs) +
+         "b" + std::to_string(prm.blocks) + "c" +
+         std::to_string(prm.capacity) + (prm.putShared ? "_ps" : "_nops");
+}
+
+// Prints the label instead of the raw bytes, which include the struct's
+// padding and so would leak into the discovered test names.
+void PrintTo(const AdversaryParam& prm, std::ostream* os) {
+  *os << adversaryLabel(prm);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Fuzz, AdversarySweep, testing::ValuesIn(kAdversary),
     [](const testing::TestParamInfo<AdversaryParam>& pinfo) {
-      return "s" + std::to_string(pinfo.param.seed) + "p" +
-             std::to_string(pinfo.param.procs) + "b" +
-             std::to_string(pinfo.param.blocks) + "c" +
-             std::to_string(pinfo.param.capacity) +
-             (pinfo.param.putShared ? "_ps" : "_nops");
+      return adversaryLabel(pinfo.param);
     });
 
 }  // namespace

@@ -33,6 +33,7 @@
 #include "mc/legacy_key.hpp"
 #include "mc/model_checker.hpp"
 #include "mc/state_codec.hpp"
+#include "mc/tardis_model.hpp"
 #include "mc/world.hpp"
 #include "mc/world_codec.hpp"
 
@@ -523,6 +524,52 @@ TEST(WorldCodec, TruncatedBlobsThrowSimError) {
     }
   });
   EXPECT_GT(worlds, 100u);
+}
+
+// The Tardis frontier blob on every world within depth 7 of 2x1: it loads
+// back to a world with the same blob and the same canonical key, and a
+// truncated or corrupted blob (spill segments are outside input) raises
+// SimError instead of building a world that indexes out of range.
+TEST(TardisModel, BlobsRoundTripAndMalformedOnesRaiseSimError) {
+  mc::McConfig cfg;
+  cfg.protocol = ProtocolKind::Tardis;
+  cfg.numProcessors = 2;
+  proto::TxnCounter txns;
+  const mc::TardisModel model(cfg, txns);
+  mc::TardisModel::Ctx ctx(cfg, txns);
+  std::vector<mc::TardisWorld> wave{model.initial()};
+  std::vector<std::byte> blob, again, key, key2;
+  std::mt19937_64 rng(7);
+  std::size_t worlds = 0;
+  for (int depth = 0; depth < 7; ++depth) {
+    std::vector<mc::TardisWorld> next;
+    for (const mc::TardisWorld& w : wave) {
+      worlds += 1;
+      model.save(ctx, w, blob);
+      const mc::TardisWorld back = model.load(ctx, blob.data(), blob.size());
+      model.save(ctx, back, again);
+      EXPECT_EQ(blob, again);
+      model.encode(ctx, w, key);
+      model.encode(ctx, back, key2);
+      EXPECT_EQ(key, key2);
+      for (std::size_t len = 0; len < blob.size(); ++len) {
+        EXPECT_THROW((void)model.load(ctx, blob.data(), len), SimError);
+      }
+      std::vector<std::byte> bad = blob;
+      bad[rng() % bad.size()] = std::byte{0x7F};
+      try {
+        (void)model.load(ctx, bad.data(), bad.size());
+      } catch (const SimError&) {
+      }
+      model.forEachAction(w, [&](const mc::Action& a) {
+        mc::TardisWorld s = w;
+        model.apply(s, a);
+        next.push_back(std::move(s));
+      });
+    }
+    wave = std::move(next);
+  }
+  EXPECT_GT(worlds, 200u);
 }
 
 }  // namespace

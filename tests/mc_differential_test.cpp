@@ -165,8 +165,8 @@ TEST(Differential, EveryMutantIsRefutedExhaustively) {
 // -- Tardis backend -----------------------------------------------------------
 //
 // The same MC<->checkers agreement, against the second model-checkable
-// backend.  The rank-compressed Tardis space at (2,1) outgrows any fixed
-// bound (timestamps keep minting fresh ranks), so the pristine side is
+// backend.  The Tardis space at (2,1) outgrows any fixed bound (even
+// rebased, timestamps keep minting fresh states), so the pristine side is
 // bounded-exhaustive rather than exhaustive: every state within the cap is
 // invariant-clean.  The seeded mutant must be refuted *inside* the bound,
 // and the concrete simulator + unchanged Lamport checkers must agree.

@@ -96,12 +96,10 @@ TEST(Spill, MatchesInRamEngineOnGoldenConfigsForAnyJobs) {
   }
 }
 
-// State-capped runs stop at a wave boundary, so the wave-synchronous
-// counts (states explored, waves, frontier peak) are pinned.  The
-// *transition* total of the final partial wave is not: frontier order
-// within a wave depends on chunk scheduling (pre-existing engine
-// behaviour, identical for the in-RAM arenas), so the cap cuts a
-// scheduling-dependent prefix.  Only assert what the engine guarantees.
+// State-capped runs stop at a wave boundary, and the final partial wave
+// expands the records with the smallest canonical fingerprints rather
+// than a prefix of the frontier (whose order depends on chunk
+// scheduling), so every count and verdict is pinned, spilled or not.
 TEST(Spill, StateCapStopsAtTheSameWaveBoundaryAsInRam) {
   mc::McConfig ram = baseConfig(3, 1);
   ram.maxStates = 5'000;
@@ -117,6 +115,10 @@ TEST(Spill, StateCapStopsAtTheSameWaveBoundaryAsInRam) {
     EXPECT_EQ(base.statesExplored, r.statesExplored) << label;
     EXPECT_EQ(base.wavesCompleted, r.wavesCompleted) << label;
     EXPECT_EQ(base.frontierPeak, r.frontierPeak) << label;
+    // The capped wave picks its states by canonical fingerprint in RAM and
+    // spilled alike, so it also counts the same transitions.
+    EXPECT_EQ(base.transitions, r.transitions) << label;
+    EXPECT_EQ(base.violations, r.violations) << label;
     EXPECT_EQ(base.ok(), r.ok()) << label;
     EXPECT_TRUE(r.hitStateLimit) << label;
   }
@@ -227,6 +229,38 @@ TEST(Checkpoint, DepthStopResumesWithALargerDepth) {
   mc::McConfig resume = deep;
   resume.resumeDir = dir.path;
   expectSameCounts(base, mc::explore(resume), "depth 6 -> 12");
+}
+
+// Tardis runs on the same engine, so its depth stops resume too: 2x2 to
+// depth 10, checkpointed, then resumed to depth 12, ends with the counts of
+// an uninterrupted depth-12 run (and a spilled capped run with the in-RAM
+// counts).
+TEST(Checkpoint, TardisDepthStopResumesWithALargerDepth) {
+  mc::McConfig deep = baseConfig(2, 2);
+  deep.protocol = ProtocolKind::Tardis;
+  deep.maxDepth = 12;
+  const mc::McResult base = mc::explore(deep);
+  EXPECT_TRUE(base.ok());
+
+  TempDir dir("ckpt_tardis");
+  mc::McConfig shallow = deep;
+  shallow.maxDepth = 10;
+  shallow.checkpointDir = dir.path;
+  ASSERT_TRUE(mc::explore(shallow).ok());
+
+  mc::McConfig resume = deep;
+  resume.resumeDir = dir.path;
+  expectSameCounts(base, mc::explore(resume), "tardis depth 10 -> 12");
+
+  TempDir spill("spill_tardis");
+  mc::McConfig capped = baseConfig(2, 2);
+  capped.protocol = ProtocolKind::Tardis;
+  capped.maxStates = 20'000;
+  mc::McConfig spilled = capped;
+  spilled.jobs = 3;
+  spilled.spillDir = spill.path;
+  expectSameCounts(mc::explore(capped), mc::explore(spilled),
+                   "tardis capped, spilled");
 }
 
 // A depth stop's last wave is never expanded, so without a checkpoint its
@@ -400,6 +434,23 @@ TEST(VisitedModes, BitstateAgreesWithExactOnSmallSpaces) {
   EXPECT_GT(b.omissionBound, 0.0);
   EXPECT_LT(b.omissionBound, 1e-6)
       << "2k states in a 2^26-bit array must report a tiny bound";
+}
+
+TEST(VisitedModes, TardisLossyModesAgreeWithExactWithinTheCap) {
+  mc::McConfig exact = baseConfig(2, 1);
+  exact.protocol = ProtocolKind::Tardis;
+  exact.maxStates = 20'000;
+  const mc::McResult base = mc::explore(exact);
+  for (const mc::VisitedMode mode :
+       {mc::VisitedMode::Compact, mc::VisitedMode::Bitstate}) {
+    mc::McConfig lossy = exact;
+    lossy.visited = mode;
+    lossy.jobs = 2;
+    const mc::McResult r = mc::explore(lossy);
+    EXPECT_EQ(r.statesExplored, base.statesExplored) << toString(mode);
+    EXPECT_EQ(r.transitions, base.transitions) << toString(mode);
+    EXPECT_TRUE(r.ok()) << toString(mode);
+  }
 }
 
 TEST(VisitedModes, BitstateBoundDegradesWithATinyArray) {

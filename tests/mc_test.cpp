@@ -274,9 +274,30 @@ TEST(ParallelMc, StateCapDrainsCleanlyAndDeterministically) {
     cfg.jobs = jobs;
     const mc::McResult r = mc::explore(cfg);
     EXPECT_TRUE(r.hitStateLimit) << "jobs=" << jobs;
-    // statesExplored is jobs-invariant even on capped runs (transitions of
-    // the final partial wave are not — the cap cuts chunk expansion).
+    // The capped wave expands the states with the smallest canonical
+    // fingerprints, not a prefix of the race-ordered frontier, so every
+    // count and verdict is jobs-invariant.
     EXPECT_EQ(r.statesExplored, base.statesExplored) << "jobs=" << jobs;
+    EXPECT_EQ(r.transitions, base.transitions) << "jobs=" << jobs;
+    EXPECT_EQ(r.violations, base.violations) << "jobs=" << jobs;
+    EXPECT_EQ(r.deadlockFound, base.deadlockFound) << "jobs=" << jobs;
+  }
+}
+
+// A parent edge packs an action into 64 bits; every message type must
+// come back out, including the five numbered 16 and up.
+TEST(ParallelMc, PackedActionsKeepEveryMessageType) {
+  for (std::size_t t = 0; t < proto::kNumMsgTypes; ++t) {
+    mc::Action a;
+    a.kind = mc::Action::Kind::Deliver;
+    a.flightIndex = 7;
+    a.dst = 3;
+    a.msgType = static_cast<proto::MsgType>(t);
+    a.block = 5;
+    const mc::Action b = mc::unpackAction(mc::packAction(a));
+    EXPECT_EQ(b.msgType, a.msgType) << proto::toString(a.msgType);
+    EXPECT_EQ(mc::toString(b), mc::toString(a));
+    EXPECT_EQ(b.proc, kNoNode);
   }
 }
 

@@ -3,14 +3,18 @@
 // invalidation fan-out, whose control decisions read logical timestamps,
 // certified by checkers written for the paper's directory protocol.
 //
-// Also pins the three unordered-network races the port surfaced (all fixed
+// Also pins the four unordered-network races the port surfaced (all fixed
 // by naming ownership epochs with the strictly-increasing grant timestamp):
 //   1. FlushReq overtakes its own DataExclusive  -> deferred flush,
 //   2. stale FlushReq arrives after the owner re-acquired X,
 //   3. stale FlushData/Writeback closes a newer Busy epoch of the same
-//      owner -> second exclusive copy.
-// Races 2 and 3 were found by the Tardis model checker, not by random
-// simulation; the bounded-exhaustive MC runs here keep them found.
+//      owner -> second exclusive copy,
+//   4. a stale FlushReq parked after the real one displaces it -> the
+//      grant lands unanswered and the Busy home waits forever.
+// Races 2-4 were found by the Tardis model checker, not by random
+// simulation (race 4 once the checker explored the production
+// controllers); the bounded-exhaustive MC runs here keep them found, and
+// race 4's schedule is replayed step by step below.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -20,7 +24,9 @@
 #include "backend/backend.hpp"
 #include "common/expect.hpp"
 #include "mc/model_checker.hpp"
+#include "mc/replay.hpp"
 #include "proto/observer.hpp"
+#include "run_fingerprint.hpp"
 #include "tardis/tardis_system.hpp"
 #include "testutil.hpp"
 #include "verify/stream.hpp"
@@ -287,6 +293,120 @@ TEST(TardisBackend, MismatchedCheckerConfigIsRejectedBothWays) {
 
 // -- model checker ------------------------------------------------------------
 
+// -- seed-equivalence pins ----------------------------------------------------
+//
+// Byte-for-byte pins of whole Tardis runs, captured from the monolithic
+// `TardisSystem` before its home and cache sides became controllers.  Each
+// cell folds kTardisSeeds sub-runs; a sub-run's fingerprint covers the
+// trace text, the RunResult, the network counters, the streaming verdict
+// and every TardisStats counter.  The seed varies the shape, the lease
+// length (16 or 2) and capacity evictions.  Re-pin only for an intentional
+// behaviour change, from the value the failing cell prints.
+
+struct TardisPinCell {
+  workload::Kind kind;
+  net::Network::Mode mode;
+  std::uint64_t hash;
+};
+
+constexpr std::uint64_t kTardisSeeds = 8;
+
+SystemConfig tardisPinConfig(std::uint64_t seed) {
+  SystemConfig sys = lcdc::testing::matrixConfig(seed);
+  sys.protocol = ProtocolKind::Tardis;
+  sys.storeBufferDepth = 0;  // Tardis has no TSO extension
+  sys.proto.leaseLength = (seed >> 1) % 2 == 0 ? 16 : 2;
+  return sys;
+}
+
+std::uint64_t tardisRunFingerprint(workload::Kind kind,
+                                   net::Network::Mode mode,
+                                   std::uint64_t seed) {
+  const SystemConfig sys = tardisPinConfig(seed);
+  const workload::WorkloadConfig w =
+      lcdc::testing::matrixWorkload(sys, seed);
+  const std::vector<workload::Program> programs = workload::make(kind, w);
+  trace::Trace trace;
+  verify::StreamCheckerSet checkers(proto::verifyConfigFor(sys));
+  proto::TeeSink tee{&trace, &checkers};
+  tardis::TardisSystem system(sys, tee, mode);
+  for (NodeId p = 0; p < sys.numProcessors; ++p) {
+    system.setProgram(p, programs[p]);
+  }
+  const RunResult result = system.run();
+  checkers.finish();
+  std::uint64_t h = lcdc::testing::artifactFingerprint(
+      trace, result, system.network().stats(), checkers.report());
+  const tardis::TardisStats s = system.stats();
+  for (const std::uint64_t v :
+       {s.txnsSerialized, s.sharedGrants, s.exclusiveGrants, s.leaseRenewals,
+        s.leaseExpiries, s.flushes, s.deferredFlushes, s.writebacks,
+        s.nacksSent, s.staleWbAcks, s.staleFlushDrops, s.retriesIssued,
+        s.capacityEvictions}) {
+    lcdc::testing::fnvU64(h, v);
+  }
+  return h;
+}
+
+std::string tardisPinLabel(const TardisPinCell& c) {
+  const char* mode = c.mode == net::Network::Mode::Fifo ? "Fifo"
+                     : c.mode == net::Network::Mode::Pct ? "Pct"
+                                                         : "Random";
+  return std::string(workload::toString(c.kind)) + mode;
+}
+
+void PrintTo(const TardisPinCell& c, std::ostream* os) {
+  *os << tardisPinLabel(c);
+}
+
+constexpr net::Network::Mode kRand = net::Network::Mode::RandomLatency;
+constexpr net::Network::Mode kFifo = net::Network::Mode::Fifo;
+constexpr net::Network::Mode kPct = net::Network::Mode::Pct;
+
+const TardisPinCell kTardisPins[] = {
+    {workload::Kind::Uniform, kRand, 0xcfd44f453fe09ad5ULL},
+    {workload::Kind::Uniform, kFifo, 0x42f883b78afe5f76ULL},
+    {workload::Kind::Uniform, kPct, 0x2ab74d90783c1ebbULL},
+    {workload::Kind::Hot, kRand, 0x40a88201aa0736eaULL},
+    {workload::Kind::Hot, kFifo, 0x678b2cddd084c5deULL},
+    {workload::Kind::Hot, kPct, 0xbd767fef4d51666cULL},
+    {workload::Kind::ProdCons, kRand, 0x6e2194ab020f9aceULL},
+    {workload::Kind::ProdCons, kFifo, 0xecb356b0bb8f584eULL},
+    {workload::Kind::ProdCons, kPct, 0x62d01d09f61d31faULL},
+    {workload::Kind::Migratory, kRand, 0x30571824edcccd7eULL},
+    {workload::Kind::Migratory, kFifo, 0x3534e44d6e7f67acULL},
+    {workload::Kind::Migratory, kPct, 0x124052120224258fULL},
+    {workload::Kind::FalseShare, kRand, 0x9c2794e9f8c108a3ULL},
+    {workload::Kind::FalseShare, kFifo, 0xf9e218b239be2db0ULL},
+    {workload::Kind::FalseShare, kPct, 0x0ac7b14f237bd04bULL},
+    {workload::Kind::ReadMostly, kRand, 0xc6fcbdb696240e34ULL},
+    {workload::Kind::ReadMostly, kFifo, 0x2bd87c264d742063ULL},
+    {workload::Kind::ReadMostly, kPct, 0x863922efab4e3e02ULL},
+    {workload::Kind::LeaseChurn, kRand, 0x26fe83d61f54db69ULL},
+    {workload::Kind::LeaseChurn, kFifo, 0x0b7121d44fa5cd9cULL},
+    {workload::Kind::LeaseChurn, kPct, 0xe2d31e3707ab9cc7ULL},
+};
+
+class TardisSeedEquivCell : public ::testing::TestWithParam<TardisPinCell> {};
+
+TEST_P(TardisSeedEquivCell, ByteIdenticalToMonolithicSystem) {
+  const TardisPinCell& c = GetParam();
+  std::uint64_t actual = lcdc::testing::kFnvOffset;
+  for (std::uint64_t seed = 0; seed < kTardisSeeds; ++seed) {
+    lcdc::testing::fnvU64(actual, tardisRunFingerprint(c.kind, c.mode, seed));
+  }
+  EXPECT_EQ(actual, c.hash)
+      << "Tardis run diverged for " << tardisPinLabel(c)
+      << "; if the behaviour change is intentional, pin that value: 0x"
+      << std::hex << actual;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllCells, TardisSeedEquivCell, ::testing::ValuesIn(kTardisPins),
+    [](const ::testing::TestParamInfo<TardisPinCell>& pinfo) {
+      return tardisPinLabel(pinfo.param);
+    });
+
 mc::McResult tardisMc(Mutant m, std::uint64_t maxStates) {
   mc::McConfig cfg;
   cfg.protocol = ProtocolKind::Tardis;
@@ -297,10 +417,10 @@ mc::McResult tardisMc(Mutant m, std::uint64_t maxStates) {
   return mc::explore(cfg);
 }
 
-// The rank-compressed Tardis state space at (2,1) is not finite under the
-// default bound, so the pristine run is bounded-exhaustive: every state
-// within the cap must satisfy the invariants.  Races 2 and 3 were both
-// found well inside this bound.
+// The Tardis state space at (2,1) does not close even with timestamps
+// rebased, so the pristine run is bounded-exhaustive: every state within
+// the cap must satisfy the invariants.  Races 2-4 were all found well
+// inside this bound (race 4 at depth 16, within 7,200 states).
 TEST(TardisMc, PristineBoundedExploreIsClean) {
   const mc::McResult r = tardisMc(Mutant::None, 150'000);
   EXPECT_TRUE(r.ok()) << (r.violations.empty() ? "deadlock"
@@ -316,6 +436,96 @@ TEST(TardisMc, DropLeaseBumpIsCaughtByName) {
   EXPECT_NE(r.violations.front().find("lease frontier"), std::string::npos)
       << r.violations.front();
   EXPECT_FALSE(r.hitStateLimit) << "mutant should be refuted in few states";
+  ASSERT_TRUE(r.counterexample.has_value());
+  ASSERT_FALSE(r.counterexample->schedule.empty());
+  // The same path through TardisSystem trips the paper's claim 3(a).
+  mc::McConfig cfg;
+  cfg.protocol = ProtocolKind::Tardis;
+  cfg.numProcessors = 2;
+  cfg.proto.mutant = Mutant::DropLeaseBump;
+  const mc::ReplayResult rep =
+      mc::replayCounterexample(cfg, r.counterexample->schedule);
+  EXPECT_TRUE(rep.scheduleCompleted) << rep.divergence;
+  bool claim3a = false;
+  for (const auto& v : rep.report.violations) {
+    claim3a = claim3a || v.check == "claim3a";
+  }
+  EXPECT_TRUE(claim3a) << rep.report.summary();
+}
+
+TEST(TardisMc, CappedCountsIgnoreJobsAndSpilling) {
+  mc::McConfig cfg;
+  cfg.protocol = ProtocolKind::Tardis;
+  cfg.numProcessors = 2;
+  cfg.numBlocks = 2;
+  cfg.maxStates = 20'000;
+  const mc::McResult base = mc::explore(cfg);
+  EXPECT_TRUE(base.ok());
+  EXPECT_TRUE(base.hitStateLimit);
+  cfg.jobs = 3;
+  const mc::McResult r = mc::explore(cfg);
+  EXPECT_EQ(r.statesExplored, base.statesExplored);
+  EXPECT_EQ(r.transitions, base.transitions);
+  EXPECT_EQ(r.frontierPeak, base.frontierPeak);
+  EXPECT_EQ(r.wavesCompleted, base.wavesCompleted);
+}
+
+TEST(TardisMc, DirectoryReductionsAreRefused) {
+  mc::McConfig cfg;
+  cfg.protocol = ProtocolKind::Tardis;
+  cfg.maxStates = 100;
+  for (int which = 0; which < 3; ++which) {
+    mc::McConfig c = cfg;
+    c.symmetry = which == 0;
+    c.por = which == 1;
+    c.modelData = which == 2;
+    EXPECT_THROW((void)mc::explore(c), SimError) << which;
+  }
+}
+
+// Race 4, as the model checker first reported it on the production
+// controllers: node 1's stale FlushReq (naming its first, written-back
+// grant) arrives after the FlushReq aimed at its second grant was parked.
+// Replayed through TardisSystem, the run must end with node 1's FlushData
+// on its way home instead of a Busy home with nothing in flight.
+TEST(Tardis, StaleFlushReqCannotDisplaceTheParkedOne) {
+  using K = mc::Action::Kind;
+  const auto issue = [](NodeId p, ReqType req) {
+    mc::Action a;
+    a.kind = K::Issue;
+    a.proc = p;
+    a.req = req;
+    return a;
+  };
+  const auto deliver = [](std::uint32_t i, proto::MsgType t, NodeId dst) {
+    mc::Action a;
+    a.kind = K::Deliver;
+    a.flightIndex = i;
+    a.msgType = t;
+    a.dst = dst;
+    return a;
+  };
+  mc::Action evict;
+  evict.kind = K::Evict;
+  evict.proc = 1;
+  using T = proto::MsgType;
+  const mc::Schedule schedule = {
+      issue(0, ReqType::GetShared),   issue(1, ReqType::GetExclusive),
+      deliver(1, T::GetX, 2),         deliver(0, T::GetS, 2),
+      deliver(0, T::DataExclusive, 1), evict,
+      deliver(1, T::Writeback, 2),    deliver(1, T::DataShared, 0),
+      deliver(1, T::WbAck, 1),        issue(0, ReqType::GetExclusive),
+      issue(1, ReqType::GetExclusive), deliver(2, T::GetX, 2),
+      deliver(1, T::GetX, 2),         deliver(2, T::FlushReq, 1),
+      deliver(0, T::FlushReq, 1),     deliver(0, T::DataExclusive, 1),
+  };
+  mc::McConfig cfg;
+  cfg.protocol = ProtocolKind::Tardis;
+  cfg.numProcessors = 2;
+  const mc::ReplayResult rep = mc::replayCounterexample(cfg, schedule);
+  EXPECT_TRUE(rep.scheduleCompleted) << rep.divergence;
+  EXPECT_FALSE(rep.deadlocked) << "the Busy home lost its flush";
+  EXPECT_TRUE(rep.report.ok()) << rep.report.summary();
 }
 
 TEST(TardisMc, BusBackendIsRejected) {

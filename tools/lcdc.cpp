@@ -424,40 +424,12 @@ int cmdMc(const Args& args) {
   cfg.checkpointDir = args.str("checkpoint", "");
   cfg.checkpointEvery = args.num("checkpoint-every", 1);
   cfg.resumeDir = args.str("resume", "");
-  // Flag-conflict diagnosis belongs to the usage layer (exit 2);
-  // mc::explore re-validates for API callers (SimError, exit 5).
-  if (cfg.visited == mc::VisitedMode::Bitstate && cfg.por) {
-    throw UsageError("--visited bitstate cannot combine with --por "
-                     "(bitstate assigns no discovery ids)");
-  }
-  // The tardis engine explores its own abstract model in RAM and records
-  // no replayable schedule, so it cannot honour these: refuse them here
-  // rather than ignore them or fail inside mc::explore as an I/O error.
-  if (cfg.protocol == ProtocolKind::Tardis) {
-    for (const char* opt : {"replay", "symmetry", "por", "model-data", "spill",
-                            "checkpoint", "resume"}) {
-      if (args.has(opt) || args.kv.contains(opt)) {
-        throw UsageError(std::string("--") + opt +
-                         " is directory-only (--protocol dir)");
-      }
-    }
-    if (cfg.visited != mc::VisitedMode::Exact) {
-      throw UsageError("--visited " + std::string(mc::toString(cfg.visited)) +
-                       " is directory-only (--protocol dir)");
-    }
-  }
-  if (!cfg.resumeDir.empty() && !cfg.checkpointDir.empty() &&
-      cfg.resumeDir != cfg.checkpointDir) {
-    throw UsageError("--resume already continues checkpointing into its "
-                     "directory; drop --checkpoint or make them equal");
-  }
-  {
-    const std::string ckpt =
-        cfg.checkpointDir.empty() ? cfg.resumeDir : cfg.checkpointDir;
-    if (!cfg.spillDir.empty() && !ckpt.empty() && cfg.spillDir != ckpt) {
-      throw UsageError("--spill must match --checkpoint/--resume "
-                       "(checkpoints reference segments by basename)");
-    }
+  // Flag conflicts are usage errors here (exit 2); API callers of
+  // mc::explore get the same check as a SimError.
+  try {
+    mc::validate(cfg);
+  } catch (const SimError& e) {
+    throw UsageError(e.what());
   }
   const mc::McResult r = mc::explore(cfg);
   std::cout << "states: " << r.statesExplored
@@ -514,10 +486,9 @@ int cmdMc(const Args& args) {
   }
   if (!r.ok()) return kExitViolations;
   if (r.hitStateLimit) {
-    // For the directory engine the cap is exhaustiveness lost — report it
-    // as an inconclusive (non-zero) verdict.  The Tardis engine is
-    // *documented* as bounded-exhaustive (rank-rebased timestamps keep
-    // minting fresh states), so a clean capped run is its success mode.
+    // For the directory protocol the cap is exhaustiveness lost: an
+    // inconclusive (non-zero) verdict.  Tardis's space never closes, so a
+    // clean capped run is its success mode (bounded-exhaustive).
     if (cfg.protocol != ProtocolKind::Tardis) return kExitViolations;
     std::cout << "bounded-exhaustive: clean within the state cap\n";
   }
@@ -814,11 +785,12 @@ void usage(std::ostream& os) {
       "  mc        exhaustive model checking (small configs!)\n"
       "            --procs N --blocks B --max-states M --max-depth D\n"
       "            --protocol dir|tardis (tardis: bounded-exhaustive,\n"
-      "                                   rank-rebased timestamps; --lease L)\n"
+      "                                   shift-rebased timestamps; --lease L)\n"
       "            --jobs J (parallel wave BFS; results independent of J)\n"
-      "            --symmetry (processor-id canonicalization)\n"
-      "            --por (ample-set partial-order reduction)\n"
-      "            --model-data (track word values; value-coherence check)\n"
+      "            --symmetry (processor-id canonicalization; dir only)\n"
+      "            --por (ample-set partial-order reduction; dir only)\n"
+      "            --model-data (track word values; value-coherence check;\n"
+      "                          dir only)\n"
       "            --replay (re-execute counterexample in the simulator\n"
       "                      through the streaming Lamport checkers)\n"
       "            --mem-limit-mb M (stop gracefully at a wave boundary\n"
