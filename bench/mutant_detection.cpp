@@ -4,13 +4,15 @@
 // and hunts for it with the Lamport-clock checkers over randomized
 // contended runs.  Reported: which detector fires first, after how many
 // seeds, and how many bound operations the failing run had — i.e. the
-// technique's bug-finding latency.
+// technique's bug-finding latency.  The directory rows run sim::System;
+// the Tardis rows (its lease bug and its three ownership races, DESIGN.md
+// §12) run the same hunt on the Tardis backend.
 #include <iostream>
 #include <string>
 
+#include "backend/backend.hpp"
 #include "bench_util.hpp"
 #include "common/expect.hpp"
-#include "sim/system.hpp"
 #include "trace/trace.hpp"
 #include "verify/checkers.hpp"
 #include "workload/generators.hpp"
@@ -29,12 +31,13 @@ struct Hunt {
   double seconds = 0;
 };
 
-Hunt hunt(Mutant mutant) {
+Hunt hunt(ProtocolKind protocol, Mutant mutant) {
   Hunt h;
   bench::Stopwatch timer;
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     h.seedsTried = seed;
     SystemConfig cfg;
+    cfg.protocol = protocol;
     cfg.numProcessors = 6;
     cfg.numDirectories = 2;
     cfg.numBlocks = 6;
@@ -53,29 +56,29 @@ Hunt hunt(Mutant mutant) {
     const auto programs = workload::hotBlock(w, 85, 3);
 
     trace::Trace trace;
-    sim::System system(cfg, trace);
+    const auto system = proto::backendFor(protocol).makeSystem(cfg, trace);
     for (NodeId p = 0; p < cfg.numProcessors; ++p) {
-      system.setProgram(p, programs[p]);
+      system->setProgram(p, programs[p]);
     }
+    const verify::VerifyConfig full = proto::verifyConfigFor(cfg);
     const auto lamportOnPartial = [&] {
-      verify::VerifyConfig vc{cfg.numProcessors};
+      verify::VerifyConfig vc = full;
       vc.expectComplete = false;  // the run was cut short
       const auto partial = verify::checkAll(trace, vc);
       return partial.ok() ? std::string("clean so far")
                           : "flags " + partial.violations.front().check;
     };
     try {
-      const sim::RunResult result = system.run(20'000'000);
+      const RunResult result = system->run(20'000'000);
       h.opsInFailingRun = result.opsBound;
-      if (result.outcome == sim::RunResult::Outcome::Deadlock ||
-          result.outcome == sim::RunResult::Outcome::Livelock) {
+      if (result.outcome == RunResult::Outcome::Deadlock ||
+          result.outcome == RunResult::Outcome::Livelock) {
         h.caught = true;
         h.how = std::string("watchdog: ") + toString(result.outcome);
         h.lamportView = lamportOnPartial();
         break;
       }
-      const auto report =
-          verify::checkAll(trace, verify::VerifyConfig{cfg.numProcessors});
+      const auto report = verify::checkAll(trace, full);
       if (!report.ok()) {
         h.caught = true;
         h.how = "checker: " + report.violations.front().check;
@@ -98,35 +101,51 @@ Hunt hunt(Mutant mutant) {
 int main() {
   bench::banner("S3 — fault injection: Lamport-clock checkers vs protocol bugs");
 
-  const Mutant mutants[] = {
-      Mutant::None,
-      Mutant::SkipInvAckWait,
-      Mutant::StaleDataFromHome,
-      Mutant::IgnoreInvalidation,
-      Mutant::ForwardStaleValue,
-      Mutant::NoBusyNack,
-      Mutant::NoDeadlockDetection,
+  // `mustCatch` is false only for the two Tardis races this one fixed
+  // random-latency shape misses in 50 seeds; the campaign's PCT schedule
+  // finds them (S16).
+  struct Row {
+    ProtocolKind protocol;
+    Mutant mutant;
+    bool mustCatch;
+  };
+  const Row rows[] = {
+      {ProtocolKind::Directory, Mutant::None, false},
+      {ProtocolKind::Directory, Mutant::SkipInvAckWait, true},
+      {ProtocolKind::Directory, Mutant::StaleDataFromHome, true},
+      {ProtocolKind::Directory, Mutant::IgnoreInvalidation, true},
+      {ProtocolKind::Directory, Mutant::ForwardStaleValue, true},
+      {ProtocolKind::Directory, Mutant::NoBusyNack, true},
+      {ProtocolKind::Directory, Mutant::NoDeadlockDetection, true},
+      {ProtocolKind::Directory, Mutant::SkipWbClockAbsorb, true},
+      {ProtocolKind::Directory, Mutant::StaleWbForward, true},
+      {ProtocolKind::Tardis, Mutant::None, false},
+      {ProtocolKind::Tardis, Mutant::DropLeaseBump, true},
+      {ProtocolKind::Tardis, Mutant::FlushStaleEpoch, false},
+      {ProtocolKind::Tardis, Mutant::CompleteStaleEpoch, true},
+      {ProtocolKind::Tardis, Mutant::DisplaceParkedFlush, false},
   };
 
-  bench::Table t({"injected bug", "caught", "first detector",
+  bench::Table t({"backend", "injected bug", "caught", "first detector",
                   "Lamport checkers on failing trace", "seeds tried",
                   "time (s)"});
   bool allGood = true;
-  for (const Mutant m : mutants) {
-    const Hunt h = hunt(m);
-    const bool expectedCaught = m != Mutant::None;
-    if (h.caught != expectedCaught) allGood = false;
-    t.row(toString(m),
+  for (const auto& [protocol, m, mustCatch] : rows) {
+    const Hunt h = hunt(protocol, m);
+    if (m == Mutant::None ? h.caught : mustCatch && !h.caught) {
+      allGood = false;
+    }
+    t.row(toString(protocol), toString(m),
           h.caught ? "yes" : (m == Mutant::None ? "no (correct)" : "NO"),
           h.how, h.lamportView, h.seedsTried, h.seconds);
   }
   t.print();
-  std::cout << "\nEvery injected bug is caught on the first seed.  Two "
-               "detection layers work\ntogether: the always-on Appendix-B "
-               "impossibility checks trip the moment the\nprotocol deviates "
-               "structurally, and the Lamport-clock checkers flag the\n"
-               "trace (sequential consistency, epochs, claims) even when "
-               "the run is cut\nshort — while the faithful protocol is "
-               "never flagged (no false positives).\n";
+  std::cout << "\nTwo detection layers work together: the always-on "
+               "Appendix-B impossibility\nchecks trip the moment the "
+               "protocol deviates structurally, and the\nLamport-clock "
+               "checkers flag the trace (sequential consistency, epochs,\n"
+               "claims) even when the run is cut short — while the faithful "
+               "protocols are\nnever flagged (no false positives).  A "
+               "mutant this fixed hot shape misses\nis S16's to find.\n";
   return allGood ? 0 : 1;
 }

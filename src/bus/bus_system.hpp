@@ -73,7 +73,7 @@ struct BusConfig {
   /// Max random snoop-processing delay per node per command.
   Tick snoopDelayMax = 16;
   std::uint64_t seed = 1;
-  /// Seeded protocol bug (campaign / fuzzing target).  The bus implements
+  /// Seeded protocol bug (campaign target).  The bus implements
   /// only Mutant::IgnoreInvalidation: a shared copy survives a snooped
   /// BusRdX/BusUpgr, so later loads keep binding stale values.
   Mutant mutant = Mutant::None;
@@ -116,8 +116,6 @@ class BusSystem {
   BusRunResult run(std::uint64_t maxEvents = 100'000'000);
 
   [[nodiscard]] const BusConfig& config() const { return config_; }
-  /// Node id used for memory stamps (numProcessors, like a directory node).
-  [[nodiscard]] NodeId memoryNode() const { return config_.numProcessors; }
   [[nodiscard]] MsiState lineState(NodeId proc, BlockId block) const;
   [[nodiscard]] const BlockValue& memoryImage(BlockId block) const;
   [[nodiscard]] std::uint64_t silentEvictions() const {

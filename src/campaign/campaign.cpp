@@ -7,12 +7,10 @@
 #include <sstream>
 
 #include "backend/backend.hpp"
-#include "campaign/fuzz.hpp"
 #include "campaign/minimize.hpp"
 #include "common/expect.hpp"
 #include "common/rng.hpp"
 #include "mc/model_checker.hpp"
-#include "net/schedule_probe.hpp"
 #include "proto/observer.hpp"
 #include "sim/system.hpp"
 #include "tardis/tardis_system.hpp"
@@ -78,6 +76,9 @@ void deriveCaseInto(const CampaignConfig& cfg, std::uint64_t index,
   sys.cacheCapacity =
       rng.chance(70, 100) ? static_cast<std::uint32_t>(rng.uniform(2, 4)) : 0;
   sys.minLatency = 1;
+  // The PCT schedule reads no latency bound.  The draw stays: it keeps
+  // every later draw (and so each case's shape and programs) in place, and
+  // bench/detection replays the case on random latency within it.
   sys.maxLatency = rng.uniform(8, 48);
   sys.retryDelay = rng.uniform(4, 12);
   sys.proto.mutant = cfg.mutant;
@@ -132,8 +133,7 @@ void deriveCaseInto(const CampaignConfig& cfg, std::uint64_t index,
   std::ostringstream desc;
   desc << workload::toString(kind) << " procs=" << sys.numProcessors
        << " dirs=" << sys.numDirectories << " blocks=" << sys.numBlocks
-       << " cap=" << sys.cacheCapacity << " lat=[" << sys.minLatency << ","
-       << sys.maxLatency << "]" << " retry=" << sys.retryDelay
+       << " cap=" << sys.cacheCapacity << " retry=" << sys.retryDelay
        << " ops=" << w.opsPerProcessor << " st%=" << w.storePercent
        << " ev%=" << w.evictPercent
        << " ps=" << (sys.proto.putSharedEnabled ? 1 : 0)
@@ -145,7 +145,6 @@ void deriveCaseInto(const CampaignConfig& cfg, std::uint64_t index,
     desc << " snoop=" << sys.busSnoopDelayMax;
   }
   out.description = desc.str();
-  out.netMode = net::Network::Mode::RandomLatency;
 }
 
 namespace {
@@ -171,17 +170,11 @@ struct WorkerEngine {
   std::optional<verify::StreamCheckerSet> checkers;
   std::optional<sim::System> system;
   SystemConfig shape;  ///< the configuration `system` was built with
-  net::Network::Mode systemMode = net::Network::Mode::RandomLatency;
   std::optional<tardis::TardisSystem> tardisSystem;
   SystemConfig tardisShape;
-  net::Network::Mode tardisMode = net::Network::Mode::RandomLatency;
   /// Bus runs construct fresh (no in-place reset on that backend); the slot
   /// only reuses the allocation across cases.
   std::unique_ptr<proto::BackendSystem> busSystem;
-  /// Schedule-shape probe, attached to the case's network when the caller
-  /// asked runCase to probe (the fuzzer's novelty features).
-  net::ScheduleProbe probe;
-  bool probeRequested = false;
 };
 
 WorkerEngine& workerEngine() {
@@ -205,36 +198,27 @@ bool resettableTo(const SystemConfig& a, const SystemConfig& b) {
 }
 
 /// Acquire a retained per-worker system (sim::System or
-/// tardis::TardisSystem — both expose the same reset/run surface).  A
-/// network-mode switch forces reconstruction: the mode is baked into the
-/// Network at construction and reset() keeps it.
+/// tardis::TardisSystem — both expose the same reset/run surface) on the
+/// PCT schedule.
 template <class Sys>
 Sys& acquireSystem(std::optional<Sys>& slot, SystemConfig& shape,
-                   net::Network::Mode& shapeMode, proto::TeeSink& tee,
-                   const SystemConfig& sys, net::Network::Mode mode) {
-  if (slot && shapeMode == mode && resettableTo(shape, sys)) {
+                   proto::TeeSink& tee, const SystemConfig& sys) {
+  if (slot && resettableTo(shape, sys)) {
     slot->reset(sys.seed);
   } else {
-    slot.emplace(sys, tee, mode);
+    slot.emplace(sys, tee, net::Network::Mode::Pct);
     shape = sys;
-    shapeMode = mode;
   }
   return *slot;
 }
 
-/// Acquire the retained system, attach the probe, set the programs, run,
-/// and fill the timing/queue counters.
+/// Acquire the retained system, set the programs, run, and fill the
+/// timing/queue counters.
 template <class Sys>
 RunResult runRetained(WorkerEngine& eng, std::optional<Sys>& slot,
-                      SystemConfig& shape, net::Network::Mode& shapeMode,
-                      const CaseSpec& spec, std::uint64_t maxEvents,
-                      CaseOutcome& out) {
-  Sys& system =
-      acquireSystem(slot, shape, shapeMode, eng.tee, spec.sys, spec.netMode);
-  if (eng.probeRequested) {
-    eng.probe.reset();
-    system.network().setProbe(&eng.probe);
-  }
+                      SystemConfig& shape, const CaseSpec& spec,
+                      std::uint64_t maxEvents, CaseOutcome& out) {
+  Sys& system = acquireSystem(slot, shape, eng.tee, spec.sys);
   for (NodeId p = 0; p < spec.sys.numProcessors; ++p) {
     system.setProgram(p, spec.programs[p]);
   }
@@ -273,20 +257,10 @@ RunResult executeCase(WorkerEngine& eng, const CaseSpec& spec,
     return result;
   }
   if (spec.sys.protocol == ProtocolKind::Tardis) {
-    return runRetained(eng, eng.tardisSystem, eng.tardisShape, eng.tardisMode,
-                       spec, maxEvents, out);
+    return runRetained(eng, eng.tardisSystem, eng.tardisShape, spec,
+                       maxEvents, out);
   }
-  return runRetained(eng, eng.system, eng.shape, eng.systemMode, spec,
-                     maxEvents, out);
-}
-
-/// Copy the probe's schedule features into the outcome (zeros when the
-/// probe was not requested or the backend has no network).
-void harvestProbe(WorkerEngine& eng, const CaseSpec& spec, CaseOutcome& out) {
-  if (!eng.probeRequested || spec.sys.protocol == ProtocolKind::Bus) return;
-  out.maxReorderDepth = eng.probe.maxReorderDepth;
-  out.maxBlockContention = eng.probe.maxBlockContention;
-  out.interleaveBits = eng.probe.interleaveBits;
+  return runRetained(eng, eng.system, eng.shape, spec, maxEvents, out);
 }
 
 /// Fold the run's lease statistics into the outcome's coverage.  Called
@@ -305,9 +279,8 @@ void harvestLeaseStats(const WorkerEngine& eng, const CaseSpec& spec,
 /// for a trace.  Per-run memory is the checkers' bounded state, not the
 /// event count.
 CaseOutcome runCaseStreaming(const CaseSpec& spec, std::uint64_t maxEvents,
-                             trace::Trace* traceOut, bool probeSchedule) {
+                             trace::Trace* traceOut) {
   WorkerEngine& eng = workerEngine();
-  eng.probeRequested = probeSchedule;
   CoverageObserver cov;
   const verify::VerifyConfig vc = proto::verifyConfigFor(spec.sys);
   if (eng.checkers) {
@@ -331,7 +304,6 @@ CaseOutcome runCaseStreaming(const CaseSpec& spec, std::uint64_t maxEvents,
     out.txnsSerialized = cov.txnsSerialized();
     out.coverage = cov.coverage();
     harvestLeaseStats(eng, spec, out);
-    harvestProbe(eng, spec, out);
     if (!result.ok()) {
       out.signature = outcomeSignature(result);
       out.detail = result.detail;
@@ -346,7 +318,6 @@ CaseOutcome runCaseStreaming(const CaseSpec& spec, std::uint64_t maxEvents,
     out.txnsSerialized = cov.txnsSerialized();
     out.coverage = cov.coverage();
     harvestLeaseStats(eng, spec, out);
-    harvestProbe(eng, spec, out);
     out.signature = "invariant";
     out.detail = e.what();
     return out;
@@ -367,9 +338,8 @@ CaseOutcome runCaseStreaming(const CaseSpec& spec, std::uint64_t maxEvents,
 /// the batch checkers replay through the same streaming cores, so the two
 /// paths cannot disagree.
 CaseOutcome runCaseRecorded(const CaseSpec& spec, std::uint64_t maxEvents,
-                            trace::Trace* traceOut, bool probeSchedule) {
+                            trace::Trace* traceOut) {
   WorkerEngine& eng = workerEngine();
-  eng.probeRequested = probeSchedule;
   trace::Trace localTrace;
   trace::Trace& trace = traceOut ? *traceOut : localTrace;
   trace.clear();
@@ -383,7 +353,6 @@ CaseOutcome runCaseRecorded(const CaseSpec& spec, std::uint64_t maxEvents,
     out.txnsSerialized = trace.serializations().size();
     out.coverage.record(trace);
     harvestLeaseStats(eng, spec, out);
-    harvestProbe(eng, spec, out);
     if (!result.ok()) {
       out.signature = outcomeSignature(result);
       out.detail = result.detail;
@@ -393,7 +362,6 @@ CaseOutcome runCaseRecorded(const CaseSpec& spec, std::uint64_t maxEvents,
     out.txnsSerialized = trace.serializations().size();
     out.coverage.record(trace);
     harvestLeaseStats(eng, spec, out);
-    harvestProbe(eng, spec, out);
     out.signature = "invariant";
     out.detail = e.what();
     return out;
@@ -412,11 +380,9 @@ CaseOutcome runCaseRecorded(const CaseSpec& spec, std::uint64_t maxEvents,
 }  // namespace
 
 CaseOutcome runCase(const CaseSpec& spec, std::uint64_t maxEvents,
-                    trace::Trace* traceOut, bool streaming,
-                    bool probeSchedule) {
-  return streaming
-             ? runCaseStreaming(spec, maxEvents, traceOut, probeSchedule)
-             : runCaseRecorded(spec, maxEvents, traceOut, probeSchedule);
+                    trace::Trace* traceOut, bool streaming) {
+  return streaming ? runCaseStreaming(spec, maxEvents, traceOut)
+                   : runCaseRecorded(spec, maxEvents, traceOut);
 }
 
 namespace {
@@ -450,14 +416,12 @@ std::string archiveTrace(const trace::Trace& trace, const std::string& outDir,
   return path;
 }
 
-}  // namespace
-
-namespace detail {
-
+/// Archive and (optionally) delta-debug one failing case; `shrinkThis`
+/// gates the minimizer (the caller enforces cfg.maxMinimized).
 Failure finalizeFailure(const CampaignConfig& cfg, std::uint64_t index,
                         const CaseSpec& spec, const std::string& signature,
-                        const std::string& detailText, bool shrinkThis,
-                        const std::string& stem) {
+                        const std::string& detailText, bool shrinkThis) {
+  const std::string stem = caseFileStem(index);
   Failure f;
   f.index = index;
   f.signature = signature;
@@ -482,7 +446,6 @@ Failure finalizeFailure(const CampaignConfig& cfg, std::uint64_t index,
     f.minimized = mr.reduced();
     f.minSteps = mr.stepsAfter;
     f.minProcs = mr.procsAfter;
-    f.minMaxLatency = mr.spec.sys.maxLatency;
     if (!cfg.outDir.empty()) {
       trace::Trace minTrace;
       const CaseOutcome minOutcome =
@@ -498,23 +461,28 @@ Failure finalizeFailure(const CampaignConfig& cfg, std::uint64_t index,
   return f;
 }
 
-}  // namespace detail
+}  // namespace
 
 CampaignResult run(const CampaignConfig& cfg) {
   LCDC_EXPECT(cfg.seeds > 0, "campaign needs at least one seed");
   if (cfg.protocol == ProtocolKind::Tardis && cfg.mutant != Mutant::None &&
-      cfg.mutant != Mutant::DropLeaseBump) {
+      !isTardisMutant(cfg.mutant)) {
     throw SimError(std::string("mutant '") + toString(cfg.mutant) +
                    "' targets the directory protocol; the tardis backend "
-                   "only implements 'drop-lease-bump'");
+                   "only implements drop-lease-bump, flush-stale-epoch, "
+                   "complete-stale-epoch and displace-parked-flush");
+  }
+  if (cfg.protocol == ProtocolKind::Directory && isTardisMutant(cfg.mutant)) {
+    throw SimError(std::string("mutant '") + toString(cfg.mutant) +
+                   "' targets the tardis protocol; the directory does not "
+                   "implement it");
   }
   if (cfg.protocol == ProtocolKind::Bus && cfg.mutant != Mutant::None &&
       cfg.mutant != Mutant::IgnoreInvalidation) {
     throw SimError(std::string("mutant '") + toString(cfg.mutant) +
-                   "' targets the directory protocol; the bus backend "
-                   "only implements 'ignore-invalidation'");
+                   "' is not implemented by the bus backend (only "
+                   "ignore-invalidation)");
   }
-  if (cfg.fuzz) return runFuzz(cfg);
   const auto t0 = std::chrono::steady_clock::now();
 
   CampaignResult result;
@@ -538,17 +506,10 @@ CampaignResult run(const CampaignConfig& cfg) {
     mcCfg.symmetry = dir;
     mcCfg.por = dir;
     mcCfg.modelData = dir;
-    if (cfg.mcVisited == "compact") {
-      mcCfg.visited = mc::VisitedMode::Compact;
-    } else if (cfg.mcVisited == "bitstate") {
-      mcCfg.visited = mc::VisitedMode::Bitstate;
-      // Bitstate tracks no discovery ids, which the ample-set proviso
-      // needs; `mc::explore` rejects the combination.
-      mcCfg.por = false;
-    } else if (cfg.mcVisited != "exact") {
-      throw SimError("mc-stage visited mode must be exact|compact|bitstate, "
-                     "got '" + cfg.mcVisited + "'");
-    }
+    mcCfg.visited = cfg.mcVisited;
+    // Bitstate tracks no discovery ids, which the ample-set proviso needs;
+    // `mc::explore` rejects the combination.
+    if (cfg.mcVisited == VisitedMode::Bitstate) mcCfg.por = false;
     mcCfg.memLimitMb = cfg.mcMemLimitMb;
     mcCfg.spillDir = cfg.mcSpillDir;
     mcCfg.checkpointDir = cfg.mcCheckpointDir;
@@ -565,7 +526,7 @@ CampaignResult run(const CampaignConfig& cfg) {
     result.mcStage.memLimitHit = mcRes.memLimitHit;
     result.mcStage.states = mcRes.statesExplored;
     result.mcStage.violations = mcRes.violations.size();
-    result.mcStage.visited = mc::toString(mcCfg.visited);
+    result.mcStage.visited = mcCfg.visited;
     result.mcStage.omissionBound = mcRes.omissionBound;
     result.mcStage.storedEncBytes = mcRes.perf.storedEncodingBytes;
     result.mcStage.procs = cfg.mcProcs;
@@ -627,8 +588,8 @@ CampaignResult run(const CampaignConfig& cfg) {
     const CaseSpec spec = deriveCase(cfg, i);
     const bool shrinkThis =
         cfg.minimize && result.failures.size() < cfg.maxMinimized;
-    result.failures.push_back(detail::finalizeFailure(
-        cfg, i, spec, o.signature, o.detail, shrinkThis, caseFileStem(i)));
+    result.failures.push_back(
+        finalizeFailure(cfg, i, spec, o.signature, o.detail, shrinkThis));
   }
 
   result.pool = pool.stats();
@@ -644,17 +605,6 @@ std::string CampaignResult::report() const {
      << "operations bound: " << opsBound << '\n'
      << "transactions serialized: " << txnsSerialized << '\n';
   os << coverage.report(protocol);
-  if (fuzz.ran) {
-    os << "fuzz stage: executions=" << fuzz.executions
-       << " corpus-loaded=" << fuzz.corpusLoaded
-       << " corpus-added=" << fuzz.corpusAdded
-       << " corpus-size=" << fuzz.corpusSize
-       << " features=" << fuzz.features << '\n';
-    if (fuzz.firstFailureExecution != 0) {
-      os << "first failure at execution " << fuzz.firstFailureExecution
-         << '\n';
-    }
-  }
   os << "checker firings:";
   if (checkerFirings.empty()) {
     os << " none\n";
@@ -678,8 +628,8 @@ std::string CampaignResult::report() const {
          << mcStage.storedEncBytes / mcStage.states;
     }
     if (mcStage.memLimitHit) os << " (mem limit hit)";
-    if (mcStage.visited != "exact") {
-      os << ", visited=" << mcStage.visited << ", P(omission)<="
+    if (mcStage.visited != VisitedMode::Exact) {
+      os << ", visited=" << toString(mcStage.visited) << ", P(omission)<="
          << mcStage.omissionBound;
     }
     os << '\n';
@@ -692,8 +642,7 @@ std::string CampaignResult::report() const {
     if (f.minimized) {
       os << "      minimized: steps " << f.steps << " -> " << f.minSteps
          << ", procs " << static_cast<unsigned>(f.procs) << " -> "
-         << static_cast<unsigned>(f.minProcs) << ", max-latency "
-         << f.minMaxLatency << '\n';
+         << static_cast<unsigned>(f.minProcs) << '\n';
     }
   }
   return os.str();

@@ -4,8 +4,9 @@
 // *scales*: one seeded execution of an arbitrarily large configuration can
 // be verified in time linear in its trace, where exhaustive model checking
 // explodes.  This module industrialises that claim: it fans out N seeded
-// sub-runs across a work-stealing thread pool, runs the full Section 3
-// checker suite on every trace, and aggregates
+// sub-runs across a work-stealing thread pool, each on the PCT network
+// schedule (net/network.hpp), runs the full Section 3 checker suite on
+// every trace, and aggregates
 //
 //   (a) coverage — which of the 14 transaction cases, NACK paths,
 //       Put-Shared/deadlock extension paths and store-buffering rules the
@@ -22,7 +23,6 @@
 // identical failure set, for ANY --jobs value.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -32,7 +32,6 @@
 #include "campaign/coverage.hpp"
 #include "common/config.hpp"
 #include "common/thread_pool.hpp"
-#include "net/network.hpp"
 #include "sim/perf.hpp"
 #include "workload/generators.hpp"
 
@@ -89,39 +88,22 @@ struct CampaignConfig {
   BlockId mcBlocks = 1;
   std::uint64_t mcMaxStates = 400'000;
   /// mc-stage out-of-core knobs, forwarded to `mc::explore` (DESIGN.md
-  /// §14): visited-set mode ("exact" | "compact" | "bitstate"), tracked-
-  /// memory limit in MiB (0 = unlimited), and the spill / checkpoint /
-  /// resume directories.  Kept as strings here so campaign.hpp stays
-  /// independent of the mc headers; `run` validates and maps them.
-  std::string mcVisited = "exact";
+  /// §14): visited-set mode, tracked-memory limit in MiB (0 = unlimited),
+  /// and the spill / checkpoint / resume directories.
+  VisitedMode mcVisited = VisitedMode::Exact;
   std::uint64_t mcMemLimitMb = 0;
   std::string mcSpillDir;
   std::string mcCheckpointDir;
   std::string mcResumeDir;
-  /// Coverage-guided fuzzing stage (campaign/fuzz.hpp): instead of deriving
-  /// every sub-run independently, mutate corpus entries and keep inputs
-  /// that exercise novel coverage or schedule shapes.  `seeds` becomes the
-  /// execution budget.  Deterministic for any --jobs, like the random path.
-  bool fuzz = false;
-  /// Persistent corpus directory; entries are loaded (and replayed, so the
-  /// novelty map resumes where the last session stopped) on start and novel
-  /// inputs are saved as they are found.  Empty = in-memory corpus only.
-  std::string corpusDir;
-  /// Fuzz only: stop at the first wave containing a failure instead of
-  /// exhausting the budget (the time-to-detection harness uses this).
-  bool fuzzStopOnFailure = false;
 };
 
 /// One fully derived sub-run: everything needed to re-execute it exactly.
+/// Every case runs on the PCT network schedule; the bus backend, which has
+/// no point-to-point network, runs its snoop-delay schedule instead.
 struct CaseSpec {
   SystemConfig sys;
   std::vector<workload::Program> programs;
   std::string description;  ///< e.g. "hot procs=6 dirs=2 blocks=8 cap=2 ..."
-  /// Network schedule family.  Random derivation always uses RandomLatency
-  /// (keeping historical reports byte-identical); the fuzzer also flips
-  /// cases to Pct (randomized priorities) and Fifo.  Ignored by the bus
-  /// backend, which has no point-to-point network.
-  net::Network::Mode netMode = net::Network::Mode::RandomLatency;
 };
 
 /// Derive sub-run `index` of a campaign.  Pure function of (config,
@@ -151,12 +133,6 @@ struct CaseOutcome {
   /// Hot-loop counters for this sub-run (wall-clock + queue ops).  Never
   /// read by the deterministic report; surfaced in the timing block.
   sim::SimPerfCounters perf;
-  /// Schedule-shape features (net::ScheduleProbe), filled only when runCase
-  /// is asked to probe (the fuzzer's novelty signal); zero otherwise and on
-  /// the bus backend (no network).
-  std::uint64_t maxReorderDepth = 0;
-  std::uint64_t maxBlockContention = 0;
-  std::array<std::uint64_t, 4> interleaveBits{};
 
   [[nodiscard]] bool clean() const { return signature.empty(); }
 };
@@ -170,8 +146,7 @@ struct CaseOutcome {
 [[nodiscard]] CaseOutcome runCase(const CaseSpec& spec,
                                   std::uint64_t maxEvents,
                                   trace::Trace* traceOut = nullptr,
-                                  bool streaming = true,
-                                  bool probeSchedule = false);
+                                  bool streaming = true);
 
 /// One failing sub-run, with its minimization result when enabled.
 struct Failure {
@@ -186,7 +161,6 @@ struct Failure {
   bool minimized = false;
   std::size_t minSteps = 0;
   NodeId minProcs = 0;
-  std::uint64_t minMaxLatency = 0;
   std::string minimizedPath;   ///< archived minimal reproducer trace
 };
 
@@ -205,8 +179,8 @@ struct McStageResult {
   bool memLimitHit = false;
   std::uint64_t states = 0;
   std::uint64_t violations = 0;
-  /// Visited-set mode the stage ran under ("exact" unless --mc-visited).
-  std::string visited = "exact";
+  /// Visited-set mode the stage ran under (exact unless --mc-visited).
+  VisitedMode visited = VisitedMode::Exact;
   /// Omission-probability bound for lossy visited modes (0 for exact).
   /// Deterministic for a fixed configuration — the stored-state set and
   /// Bloom fill are wave-deterministic — so report() may print it.
@@ -220,27 +194,11 @@ struct McStageResult {
   BlockId blocks = 0;
 };
 
-/// Deterministic statistics of the fuzz stage (campaign/fuzz.hpp); every
-/// field is a pure function of (config, corpus contents), so report() may
-/// print them.
-struct FuzzStats {
-  bool ran = false;
-  std::uint64_t executions = 0;      ///< cases executed (incl. corpus replay)
-  std::uint64_t corpusLoaded = 0;    ///< entries loaded from --corpus
-  std::uint64_t corpusAdded = 0;     ///< novel inputs admitted this session
-  std::uint64_t corpusSize = 0;      ///< final corpus size
-  std::uint64_t features = 0;        ///< distinct novelty keys observed
-  /// 1-based execution index of the first failing case (0 = none) — the
-  /// fuzzer's time-to-detection in executions.
-  std::uint64_t firstFailureExecution = 0;
-};
-
 struct CampaignResult {
   /// Backend the campaign drove; selects the reachable-case target the
   /// coverage table is reported against.
   ProtocolKind protocol = ProtocolKind::Directory;
   Coverage coverage;
-  FuzzStats fuzz;
   McStageResult mcStage;
   std::vector<Failure> failures;  ///< ordered by sub-run index
   std::uint64_t seedsRun = 0;
@@ -266,22 +224,6 @@ struct CampaignResult {
 
 /// Run the campaign.  Seeds execute on `cfg.jobs` pool workers; failures
 /// are minimized and archived sequentially afterwards (deterministic).
-/// With cfg.fuzz, dispatches to the coverage-guided stage (campaign/fuzz.hpp).
 [[nodiscard]] CampaignResult run(const CampaignConfig& cfg);
-
-namespace detail {
-/// Archive and (optionally) delta-debug one failing case — the shared
-/// post-processing of the random fan-out and the fuzz stage, so both
-/// produce identical Failure records and reproducer files for the same
-/// failing input.  `stem` names the archived trace files ("case-000123",
-/// "fuzz-000042"); `shrink` gates the minimizer (the caller enforces
-/// cfg.maxMinimized).
-[[nodiscard]] Failure finalizeFailure(const CampaignConfig& cfg,
-                                      std::uint64_t index,
-                                      const CaseSpec& spec,
-                                      const std::string& signature,
-                                      const std::string& detailText,
-                                      bool shrink, const std::string& stem);
-}  // namespace detail
 
 }  // namespace lcdc::campaign

@@ -101,30 +101,8 @@ void dropProcessors(CaseSpec& current, Probe& probe) {
   }
 }
 
-/// Phase 3: shrink the adversarial latency spread and the retry pacing.
+/// Phase 3: shrink the retry pacing.
 void tightenParameters(CaseSpec& current, Probe& probe) {
-  if (current.sys.maxLatency > current.sys.minLatency && !probe.exhausted()) {
-    CaseSpec uniform = current;
-    uniform.sys.maxLatency = uniform.sys.minLatency;
-    if (probe.stillFails(uniform)) {
-      current = std::move(uniform);
-    } else {
-      // Binary-search the smallest maxLatency that still reproduces.
-      std::uint64_t lo = current.sys.minLatency;
-      std::uint64_t hi = current.sys.maxLatency;
-      while (hi - lo > 1 && !probe.exhausted()) {
-        const std::uint64_t mid = lo + (hi - lo) / 2;
-        CaseSpec candidate = current;
-        candidate.sys.maxLatency = mid;
-        if (probe.stillFails(candidate)) {
-          current = std::move(candidate);
-          hi = mid;
-        } else {
-          lo = mid;
-        }
-      }
-    }
-  }
   while (current.sys.retryDelay > 1 && !probe.exhausted()) {
     CaseSpec candidate = current;
     candidate.sys.retryDelay /= 2;

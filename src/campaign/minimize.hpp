@@ -14,9 +14,9 @@
 //      halving granularity) — removes the bulk of the schedule;
 //   2. node reduction — drop whole processors (their program removed,
 //      ids of the survivors compacted) while the failure persists;
-//   3. parameter tightening — binary-search the network's maxLatency down
-//      toward minLatency and halve the retry delay, shrinking the
-//      adversarial latency spread the schedule actually needs.
+//   3. parameter tightening — halve the NACK retry delay while the failure
+//      persists (the PCT schedule reads no latency bound, so there is no
+//      latency spread to shrink).
 // Phase 1 is re-run after phase 2: a smaller machine often makes more
 // operations redundant.
 #pragma once

@@ -94,8 +94,22 @@ const char* toString(Mutant m) {
     case Mutant::NoBusyNack: return "no-busy-nack";
     case Mutant::NoDeadlockDetection: return "no-deadlock-detection";
     case Mutant::DropLeaseBump: return "drop-lease-bump";
+    case Mutant::FlushStaleEpoch: return "flush-stale-epoch";
+    case Mutant::CompleteStaleEpoch: return "complete-stale-epoch";
+    case Mutant::DisplaceParkedFlush: return "displace-parked-flush";
+    case Mutant::SkipWbClockAbsorb: return "skip-wb-clock-absorb";
+    case Mutant::StaleWbForward: return "stale-wb-forward";
   }
   return "mutant(?)";
+}
+
+const char* toString(VisitedMode m) {
+  switch (m) {
+    case VisitedMode::Exact: return "exact";
+    case VisitedMode::Compact: return "compact";
+    case VisitedMode::Bitstate: return "bitstate";
+  }
+  return "?";
 }
 
 const char* toString(ProtocolKind k) {

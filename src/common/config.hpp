@@ -42,9 +42,60 @@ enum class Mutant : std::uint8_t {
   /// read lease (breaks Claim 3(a)/Lemma 1 — the lease-vs-owner
   /// disjointness that carries Tardis's single-writer argument).
   DropLeaseBump,
+  /// Tardis only (DESIGN.md §12, race 2): a cache answers a FlushReq for
+  /// its exclusive line without matching the grant timestamp the request
+  /// names, so a stale FlushReq of an earlier epoch flushes the new line
+  /// while the home still records the node as owner.
+  FlushStaleEpoch,
+  /// Tardis only (race 3): the home completes a Busy period on a Writeback
+  /// or FlushData without matching the owner's grant timestamp, so a stale
+  /// flush of an earlier epoch closes the current one and a second
+  /// exclusive copy is handed out.
+  CompleteStaleEpoch,
+  /// Tardis only (race 4): a stale FlushReq parked at a waiting cache
+  /// displaces the one its pending grant names (`parked = grantTs` instead
+  /// of the later of the two), so the grant lands unanswered and the Busy
+  /// home waits forever.
+  DisplaceParkedFlush,
+  /// Transaction 13: the Busy-Shared home takes the written-back data but
+  /// skips absorbing the writeback stamp into its entry clock, so the next
+  /// reader served from memory may be stamped below the former owner's
+  /// epoch (a stamping-only bug: every value stays correct; Claim 3(b)).
+  SkipWbClockAbsorb,
+  /// Transaction 14a: the Busy-Exclusive home answers the waiting writer
+  /// from its own stale memory instead of the written-back data, losing the
+  /// former owner's stores (Lemma 3).
+  StaleWbForward,
 };
 
 [[nodiscard]] const char* toString(Mutant m);
+
+/// True for the mutants only the Tardis backend implements.  The Tardis
+/// home refuses every other mutant, and the directory refuses these.
+[[nodiscard]] constexpr bool isTardisMutant(Mutant m) {
+  return m == Mutant::DropLeaseBump || m == Mutant::FlushStaleEpoch ||
+         m == Mutant::CompleteStaleEpoch || m == Mutant::DisplaceParkedFlush;
+}
+
+/// How the model checker remembers visited states (DESIGN.md §14).  Kept
+/// here, not in the mc headers, so the campaign's config can name it.
+enum class VisitedMode : std::uint8_t {
+  /// Lossless: 64-bit fingerprint plus the full canonical encoding; a
+  /// fingerprint hit falls back to byte equality.  The only mode whose
+  /// counts are exhaustive; omission bound 0.
+  Exact = 0,
+  /// Hash compaction: only the 64-bit fingerprint is kept, a hit is
+  /// trusted.  ~12 B/state; expected omissions n(n-1)/2 / 2^64.
+  Compact,
+  /// Holzmann bitstate (supertrace): k bits per state in a Bloom array
+  /// sized by `bitstateMb`.  O(1) bits/state; omission bound
+  /// insertCalls * (ones/m)^k at the end-of-run fill ratio.  Tracks no
+  /// state ids, so counterexamples carry no schedule and POR (whose
+  /// proviso needs discovery ids) is rejected.
+  Bitstate,
+};
+
+[[nodiscard]] const char* toString(VisitedMode m);
 
 /// Which coherence backend a SystemConfig drives.  The backend registry
 /// (proto::backendFor) maps each value to a proto::CoherenceBackend that

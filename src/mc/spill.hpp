@@ -24,8 +24,7 @@
 // segments rather than misreading them.
 // The header is patched on seal; readers validate magic/version/digest
 // and bound every varint read, throwing SimError (never UB or invariant
-// aborts) on truncated, corrupt, or version-mismatched input — the same
-// contract the fuzz corpus format established in PR 8.
+// aborts) on truncated, corrupt, or version-mismatched input.
 //
 // The *checkpoint manifest* (`MANIFEST`, text, written tmp+rename so a
 // kill mid-checkpoint leaves the previous checkpoint intact) records the

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/expect.hpp"
-#include "net/schedule_probe.hpp"
 
 namespace lcdc::net {
 
@@ -37,8 +36,10 @@ void Network::reset(Rng rng) {
   timed_.resetStats();
   manual_.clear();
   pct_.clear();
+  pctSlots_.clear();
+  pctFree_.clear();
+  pctStats_ = CalendarStats{};
   pctFloor_ = 0;
-  probe_ = nullptr;
   if (mode_ == Mode::Pct) {
     pctUntilChangePoint_ = rng_.uniform(kPctBurstMin, kPctBurstMax);
   }
@@ -58,7 +59,6 @@ MsgSeq Network::send(NodeId src, NodeId dst, Tick now, proto::Message msg) {
   stats_.sent += 1;
   const auto typeIdx = static_cast<std::size_t>(env.msg.type);
   if (typeIdx < stats_.sentByType.size()) stats_.sentByType[typeIdx] += 1;
-  if (probe_ != nullptr) probe_->noteSend(env);
 
   switch (mode_) {
     case Mode::RandomLatency:
@@ -75,11 +75,22 @@ MsgSeq Network::send(NodeId src, NodeId dst, Tick now, proto::Message msg) {
       break;
     case Mode::Pct: {
       env.deliverAt = now + minLatency_;
-      PctEntry e;
-      e.prio = rng_.uniform(0, kPctPrioSpan - 1);
-      e.env = std::move(env);
-      pct_.push_back(std::move(e));
+      PctKey key;
+      key.seq = env.seq;
+      key.prio = static_cast<std::uint32_t>(rng_.uniform(0, kPctPrioSpan - 1));
+      if (pctFree_.empty()) {
+        key.slot = static_cast<std::uint32_t>(pctSlots_.size());
+        pctSlots_.push_back(std::move(env));
+      } else {
+        key.slot = pctFree_.back();
+        pctFree_.pop_back();
+        pctSlots_[key.slot] = std::move(env);
+      }
+      pct_.push_back(key);
       std::push_heap(pct_.begin(), pct_.end(), pctLess);
+      pctStats_.pushes += 1;
+      pctStats_.maxDepth = std::max<std::uint64_t>(pctStats_.maxDepth,
+                                                   pct_.size());
       break;
     }
   }
@@ -98,7 +109,7 @@ Tick Network::nextDeliveryTime() const {
   LCDC_EXPECT(mode_ != Mode::Manual, "nextDeliveryTime in Manual mode");
   if (mode_ == Mode::Pct) {
     if (pct_.empty()) return kNever;
-    return std::max(pct_.front().env.deliverAt, pctFloor_);
+    return std::max(pctSlots_[pct_.front().slot].deliverAt, pctFloor_);
   }
   return timed_.nextDeliveryTime();
 }
@@ -109,7 +120,6 @@ void Network::countDelivered(const Envelope& env) {
   if (typeIdx < stats_.deliveredByType.size()) {
     stats_.deliveredByType[typeIdx] += 1;
   }
-  if (probe_ != nullptr) probe_->noteDeliver(env);
 }
 
 Envelope Network::popNext() {
@@ -117,14 +127,20 @@ Envelope Network::popNext() {
   if (mode_ == Mode::Pct) {
     LCDC_EXPECT(!pct_.empty(), "popNext on empty network");
     std::pop_heap(pct_.begin(), pct_.end(), pctLess);
-    Envelope env = std::move(pct_.back().env);
+    const std::uint32_t slot = pct_.back().slot;
     pct_.pop_back();
+    Envelope env = std::move(pctSlots_[slot]);
+    pctFree_.push_back(slot);
+    pctStats_.pops += 1;
     // Deliveries must be monotone in time even when a starved low-priority
     // message finally surfaces with a stale deliverAt.
     env.deliverAt = std::max(env.deliverAt, pctFloor_);
     pctFloor_ = env.deliverAt;
     if (!pct_.empty() && --pctUntilChangePoint_ == 0) {
-      for (PctEntry& e : pct_) e.prio = rng_.uniform(0, kPctPrioSpan - 1);
+      for (PctKey& key : pct_) {
+        key.prio =
+            static_cast<std::uint32_t>(rng_.uniform(0, kPctPrioSpan - 1));
+      }
       std::make_heap(pct_.begin(), pct_.end(), pctLess);
       pctUntilChangePoint_ = rng_.uniform(kPctBurstMin, kPctBurstMax);
     }

@@ -12,14 +12,16 @@
 //    show the protocol also works when races never fire.
 //  * Manual        — tests and scripted scenarios pick the exact delivery
 //    order, to force a specific race deterministically.
-//  * Pct           — PCT-style randomized priorities: every message draws a
-//    random priority at send time and the highest-priority pending message
-//    is always delivered next, with periodic "change points" that redraw
-//    every pending priority.  Unlike RandomLatency (whose reorder window is
-//    bounded by maxLatency ticks), Pct can hold one message back behind an
-//    unbounded number of later sends, which is exactly the deep-reorder
-//    shape the fuzzer wants.  Delivery times are the send time plus
-//    minLatency, clamped to be monotone across deliveries.
+//  * Pct           — PCT-style randomized priorities (Burckhardt et al.,
+//    ASPLOS 2010): every message draws a random priority at send time and
+//    the highest-priority pending message is always delivered next, with
+//    periodic "change points" that redraw every pending priority.  Unlike
+//    RandomLatency (whose reorder window is bounded by maxLatency ticks),
+//    Pct can hold one message back behind an unbounded number of later
+//    sends — the deep-reorder shape that exposes the rare races, which is
+//    why every campaign case runs on it.  Delivery times are the send time
+//    plus minLatency, clamped to be monotone across deliveries; maxLatency
+//    is not read.
 //
 // Messages are never dropped, duplicated or corrupted.
 #pragma once
@@ -46,8 +48,6 @@ struct NetStats {
 
   NetStats();
 };
-
-struct ScheduleProbe;
 
 class Network {
  public:
@@ -89,30 +89,34 @@ class Network {
 
   [[nodiscard]] Mode mode() const { return mode_; }
   [[nodiscard]] const NetStats& stats() const { return stats_; }
-  /// Calendar-queue operation counters (timed modes), for SimPerfCounters.
+  /// Queue operation counters of the timed modes, for SimPerfCounters: the
+  /// calendar queue's, or in Pct mode the priority heap's pushes, pops and
+  /// depth high-water (its overflow and pool counters stay 0).
   [[nodiscard]] const CalendarStats& queueStats() const {
-    return timed_.stats();
+    return mode_ == Mode::Pct ? pctStats_ : timed_.stats();
   }
 
   /// Return to the just-constructed state with a fresh random stream, but
   /// keep the envelope pool's slabs and every container's capacity — the
-  /// campaign resets one Network per worker thousands of times.  Detaches
-  /// any schedule probe; re-attach after the reset.
+  /// campaign resets one Network per worker thousands of times.
   void reset(Rng rng);
 
-  /// Attach (or detach, with nullptr) a schedule-shape probe.  The probe is
-  /// borrowed, not owned; it must outlive the runs it observes.
-  void setProbe(ScheduleProbe* probe) { probe_ = probe; }
-
  private:
-  struct PctEntry {
-    std::uint64_t prio = 0;
-    Envelope env;
+  // Pct's heap orders 16-byte keys; the envelopes stay in `pctSlots_` and
+  // never move after insertion, so no sift step moves a whole Envelope
+  // (the cost calendar_queue.hpp avoids too).  pctLess reads only (prio,
+  // seq), so the heap layout, the pop order and the order of change-point
+  // redraws are those of a heap of whole envelopes ordered the same way,
+  // which is what the PctSeedEquiv pins were captured from.
+  struct PctKey {
+    MsgSeq seq = 0;
+    std::uint32_t prio = 0;
+    std::uint32_t slot = 0;  ///< index into pctSlots_
   };
   // Max-heap order: highest priority first, lowest seq among ties.
-  static bool pctLess(const PctEntry& a, const PctEntry& b) {
+  static bool pctLess(const PctKey& a, const PctKey& b) {
     if (a.prio != b.prio) return a.prio < b.prio;
-    return a.env.seq > b.env.seq;
+    return a.seq > b.seq;
   }
 
   void countDelivered(const Envelope& env);
@@ -124,10 +128,12 @@ class Network {
   MsgSeq nextSeq_ = 1;
   CalendarQueue timed_;
   std::deque<Envelope> manual_;
-  std::vector<PctEntry> pct_;
+  std::vector<PctKey> pct_;                ///< max-heap of pending keys
+  std::vector<Envelope> pctSlots_;         ///< pending envelopes, by slot
+  std::vector<std::uint32_t> pctFree_;     ///< recycled slots
+  CalendarStats pctStats_;
   Tick pctFloor_ = 0;                     ///< monotone delivery-time clamp
   std::uint64_t pctUntilChangePoint_ = 0; ///< deliveries until a reshuffle
-  ScheduleProbe* probe_ = nullptr;
   NetStats stats_;
 };
 

@@ -50,7 +50,13 @@ void DirStats::merge(const DirStats& other) {
 
 DirectoryController::DirectoryController(NodeId self, const ProtoConfig& config,
                                          EventSink& sink, TxnCounter& txns)
-    : self_(self), config_(config), sink_(&sink), txns_(&txns) {}
+    : self_(self), config_(config), sink_(&sink), txns_(&txns) {
+  if (isTardisMutant(config_.mutant)) {
+    throw SimError(std::string("mutant '") + toString(config_.mutant) +
+                   "' targets the tardis protocol; the directory does not "
+                   "implement it");
+  }
+}
 
 void DirectoryController::addBlock(BlockId block, BlockValue initial) {
   LCDC_EXPECT(!entries_.contains(block), "block added twice");
@@ -494,7 +500,9 @@ void DirectoryController::onWriteback(const Message& m, DirEntry& e,
       // becomes the valid copy, so the entry clock absorbs the owner's
       // writeback stamp — this is what keeps Claim 3(b)'s chain intact for
       // the *next* reader served from memory (see DESIGN.md).
-      e.clock = std::max(e.clock, maxStamp(m.stamps));
+      if (config_.mutant != Mutant::SkipWbClockAbsorb) {
+        e.clock = std::max(e.clock, maxStamp(m.stamps));
+      }
       e.mem = m.data;
       sink_->onValueReceived(self_, combined.id, m.block, e.mem);
       core.state = DirState::Shared;
@@ -539,7 +547,8 @@ void DirectoryController::onWriteback(const Message& m, DirEntry& e,
         reply.requester = core.busyRequester;
         reply.txn = combined.id;
         reply.serial = combined.serial;
-        reply.data = m.data;
+        reply.data =
+            config_.mutant == Mutant::StaleWbForward ? e.mem : m.data;
         reply.stamps = m.stamps;  // former owner's writeback stamp
         out.send(core.busyRequester, std::move(reply));
         Message busyAck;

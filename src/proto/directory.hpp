@@ -117,9 +117,6 @@ class DirectoryController {
   void handle(const Message& m, Outbox& out);
 
   [[nodiscard]] const DirEntry& entry(BlockId block) const;
-  [[nodiscard]] bool hasBlock(BlockId block) const {
-    return entries_.contains(block);
-  }
   [[nodiscard]] NodeId self() const { return self_; }
   [[nodiscard]] const DirStats& stats() const { return stats_; }
 

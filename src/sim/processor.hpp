@@ -92,10 +92,6 @@ class Processor final : public proto::CacheClient {
   void onNacked(BlockId block, ReqType req, NackKind kind) override;
   void onLineUnblocked(BlockId block) override;
 
-  [[nodiscard]] std::size_t storeBufferDepthUsed() const {
-    return storeBuffer_.size();
-  }
-
  private:
   /// A store parked in the TSO store buffer, waiting to retire.
   struct BufferedStore {

@@ -50,11 +50,11 @@ TardisHome::TardisHome(NodeId self, const ProtoConfig& config,
                        proto::EventSink& sink, proto::TxnCounter& txns)
     : self_(self), config_(config), sink_(&sink), txns_(&txns) {
   if (config_.leaseLength == 0) config_.leaseLength = 1;
-  if (config_.mutant != Mutant::None &&
-      config_.mutant != Mutant::DropLeaseBump) {
+  if (config_.mutant != Mutant::None && !isTardisMutant(config_.mutant)) {
     throw SimError(std::string("mutant '") + toString(config_.mutant) +
                    "' targets the directory protocol; the tardis backend "
-                   "only implements 'drop-lease-bump'");
+                   "only implements drop-lease-bump, flush-stale-epoch, "
+                   "complete-stale-epoch and displace-parked-flush");
   }
 }
 
@@ -161,7 +161,8 @@ void TardisHome::onWriteback(HomeEntry& e, const proto::Message& m,
     sink_->onValueReceived(self_, txn.id, m.block, e.mem);
     stats_.writebacks += 1;
   } else if (e.state == HomeState::Busy && e.owner == m.requester &&
-             m.grantTs == e.ownerGrantTs) {
+             (m.grantTs == e.ownerGrantTs ||
+              config_.mutant == Mutant::CompleteStaleEpoch)) {
     // The owner's eviction raced our FlushReq; its written-back copy is the
     // flush data.  The pending transaction completes, and the later
     // FlushData resend (if any) arrives stale.
@@ -179,7 +180,8 @@ void TardisHome::onWriteback(HomeEntry& e, const proto::Message& m,
 void TardisHome::onFlushData(HomeEntry& e, const proto::Message& m,
                              proto::Outbox& out) {
   if (e.state == HomeState::Busy && e.owner == m.requester &&
-      m.grantTs == e.ownerGrantTs) {
+      (m.grantTs == e.ownerGrantTs ||
+       config_.mutant == Mutant::CompleteStaleEpoch)) {
     completeBusy(e, m.block, m.flushTs, m.data, out);
   } else {
     // Stale: the racing Writeback got there first and completed the
@@ -511,7 +513,8 @@ void TardisCache::handle(const proto::Message& m, proto::Outbox& out) {
       // re-acquired the block, and answering it would flush the NEW line
       // while the home still records us as its owner.
       if (it != s_.lines.end() && it->second.state == LineState::Exclusive &&
-          it->second.grantTs == m.grantTs) {
+          (it->second.grantTs == m.grantTs ||
+           config_->proto.mutant == Mutant::FlushStaleEpoch)) {
         sendFlushData(m.block, it->second.flushTs, it->second.grantTs,
                       it->second.data, out);
         s_.lines.erase(it);
@@ -535,7 +538,9 @@ void TardisCache::handle(const proto::Message& m, proto::Outbox& out) {
         // a stale one arriving second must not displace it, or the grant
         // lands unanswered and the Busy home waits forever (race 4).
         GlobalTime& parked = s_.deferredFlush[m.block];
-        parked = std::max(parked, m.grantTs);
+        parked = config_->proto.mutant == Mutant::DisplaceParkedFlush
+                     ? m.grantTs
+                     : std::max(parked, m.grantTs);
         return;
       }
       // Nothing held and nothing pending: the home was already satisfied

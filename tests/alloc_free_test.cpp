@@ -9,7 +9,9 @@
 // count only around System::run: setting programs, reset and finish() are
 // outside the contract.  The first rep is a warm-up that grows pools and
 // slabs to their high-water marks; every later rep must allocate
-// nothing.
+// nothing.  Each workload runs under both timed schedules: random latency
+// (the calendar queue) and PCT (the priority heap every campaign case runs
+// on).
 //
 // 40,000 ops per processor over 8 reps is the size at which the SC merge
 // queue's deque map used to be reallocated on some hot reps (EXPERIMENTS.md
@@ -48,7 +50,7 @@ constexpr std::uint64_t kOpsPerProcessor = 40'000;
 constexpr int kReps = 8;
 
 /// The steady-state shape of the campaign's unit of work: 8 processors,
-/// 4 directories, 64 blocks, 4-line caches, random latency 1..40.
+/// 4 directories, 64 blocks, 4-line caches, latency 1..40.
 SystemConfig hotPathConfig() {
   SystemConfig sys;
   sys.numProcessors = 8;
@@ -61,7 +63,8 @@ SystemConfig hotPathConfig() {
   return sys;
 }
 
-void expectSteadyRepsAllocFree(workload::Kind kind) {
+void expectSteadyRepsAllocFree(workload::Kind kind, net::Network::Mode mode) {
+  SCOPED_TRACE(mode == net::Network::Mode::Pct ? "pct" : "random latency");
   const SystemConfig sys = hotPathConfig();
   workload::WorkloadConfig w;
   w.numProcessors = sys.numProcessors;
@@ -75,7 +78,7 @@ void expectSteadyRepsAllocFree(workload::Kind kind) {
 
   verify::StreamCheckerSet checkers(proto::verifyConfigFor(sys));
   proto::TeeSink tee{&checkers};
-  sim::System system(sys, tee);
+  sim::System system(sys, tee, mode);
   for (int rep = 0; rep < kReps; ++rep) {
     system.reset(sys.seed);
     checkers.reset(proto::verifyConfigFor(sys));
@@ -95,6 +98,11 @@ void expectSteadyRepsAllocFree(workload::Kind kind) {
                             << r.eventsProcessed << " events)";
     }
   }
+}
+
+void expectSteadyRepsAllocFree(workload::Kind kind) {
+  expectSteadyRepsAllocFree(kind, net::Network::Mode::RandomLatency);
+  expectSteadyRepsAllocFree(kind, net::Network::Mode::Pct);
 }
 
 TEST(AllocFree, HotSteadyRepsAllocateNothing) {

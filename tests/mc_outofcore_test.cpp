@@ -495,9 +495,9 @@ TEST(VisitedModes, DeterministicForAnyJobs) {
     four.jobs = 4;
     const mc::McResult a = mc::explore(one);
     const mc::McResult b = mc::explore(four);
-    EXPECT_EQ(a.statesExplored, b.statesExplored) << mc::toString(mode);
-    EXPECT_EQ(a.transitions, b.transitions) << mc::toString(mode);
-    EXPECT_EQ(a.omissionBound, b.omissionBound) << mc::toString(mode);
+    EXPECT_EQ(a.statesExplored, b.statesExplored) << toString(mode);
+    EXPECT_EQ(a.transitions, b.transitions) << toString(mode);
+    EXPECT_EQ(a.omissionBound, b.omissionBound) << toString(mode);
   }
 }
 

@@ -11,13 +11,14 @@
 //   * delivery times never go backwards (the priority heap ignores
 //     deliverAt order, so the mode clamps to a monotone floor);
 //   * a fixed seed gives a byte-identical run (the campaign's determinism
-//     guarantee extends to fuzzed Pct cases);
+//     guarantee rests on it: every campaign case runs in this mode);
 //   * the mode genuinely reorders — deeper than FIFO by construction;
 //   * full-system seed-equivalence pins, the same discipline the 240-cell
 //     matrix applies to RandomLatency/Fifo, as a separate golden table
 //     (kGolden predates this mode and must not grow).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <ios>
 #include <set>
@@ -25,7 +26,6 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "net/schedule_probe.hpp"
 #include "run_fingerprint.hpp"
 
 namespace lcdc {
@@ -94,15 +94,21 @@ TEST(Pct, DeterministicForAFixedSeed) {
 }
 
 TEST(Pct, ReordersDeeperThanFifo) {
+  // Reorder depth: how far a delivery falls behind the latest send already
+  // delivered, read off the pop order's sequence numbers.
   const auto maxDepth = [](net::Network::Mode mode) {
     net::Network net(mode, Rng(5), 1, 20);
-    net::ScheduleProbe probe;
-    net.setProbe(&probe);
     for (BlockId b = 0; b < 200; ++b) {
       net.send(0, 1, 0, msg(proto::MsgType::GetS, b));
     }
-    while (!net.empty()) (void)net.popNext();
-    return probe.maxReorderDepth;
+    net::MsgSeq maxSeq = 0;
+    std::uint64_t depth = 0;
+    while (!net.empty()) {
+      const net::MsgSeq seq = net.popNext().seq;
+      if (seq < maxSeq) depth = std::max<std::uint64_t>(depth, maxSeq - seq);
+      maxSeq = std::max(maxSeq, seq);
+    }
+    return depth;
   };
   EXPECT_EQ(maxDepth(net::Network::Mode::Fifo), 0u);
   EXPECT_GT(maxDepth(net::Network::Mode::Pct), 4u)

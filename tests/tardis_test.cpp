@@ -486,9 +486,8 @@ TEST(TardisMc, DirectoryReductionsAreRefused) {
 // Race 4, as the model checker first reported it on the production
 // controllers: node 1's stale FlushReq (naming its first, written-back
 // grant) arrives after the FlushReq aimed at its second grant was parked.
-// Replayed through TardisSystem, the run must end with node 1's FlushData
-// on its way home instead of a Busy home with nothing in flight.
-TEST(Tardis, StaleFlushReqCannotDisplaceTheParkedOne) {
+// Replayed through TardisSystem under `mutant`.
+mc::ReplayResult replayRace4(Mutant mutant) {
   using K = mc::Action::Kind;
   const auto issue = [](NodeId p, ReqType req) {
     mc::Action a;
@@ -522,10 +521,25 @@ TEST(Tardis, StaleFlushReqCannotDisplaceTheParkedOne) {
   mc::McConfig cfg;
   cfg.protocol = ProtocolKind::Tardis;
   cfg.numProcessors = 2;
-  const mc::ReplayResult rep = mc::replayCounterexample(cfg, schedule);
+  cfg.proto.mutant = mutant;
+  return mc::replayCounterexample(cfg, schedule);
+}
+
+// The run must end with node 1's FlushData on its way home instead of a
+// Busy home with nothing in flight.
+TEST(Tardis, StaleFlushReqCannotDisplaceTheParkedOne) {
+  const mc::ReplayResult rep = replayRace4(Mutant::None);
   EXPECT_TRUE(rep.scheduleCompleted) << rep.divergence;
   EXPECT_FALSE(rep.deadlocked) << "the Busy home lost its flush";
   EXPECT_TRUE(rep.report.ok()) << rep.report.summary();
+}
+
+// The twin: with the fix reverted (the stale FlushReq overwrites the parked
+// one), the same 16 steps leave the Busy home waiting forever.
+TEST(Tardis, DisplaceParkedFlushDeadlocksOnTheSameSteps) {
+  const mc::ReplayResult rep = replayRace4(Mutant::DisplaceParkedFlush);
+  EXPECT_TRUE(rep.scheduleCompleted) << rep.divergence;
+  EXPECT_TRUE(rep.deadlocked) << "the stale FlushReq did not displace";
 }
 
 TEST(TardisMc, BusBackendIsRejected) {

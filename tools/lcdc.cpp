@@ -168,7 +168,12 @@ Mutant parseMutant(const std::string& name) {
                         Mutant::ForwardStaleValue,
                         Mutant::NoBusyNack,
                         Mutant::NoDeadlockDetection,
-                        Mutant::DropLeaseBump};
+                        Mutant::DropLeaseBump,
+                        Mutant::FlushStaleEpoch,
+                        Mutant::CompleteStaleEpoch,
+                        Mutant::DisplaceParkedFlush,
+                        Mutant::SkipWbClockAbsorb,
+                        Mutant::StaleWbForward};
   for (const Mutant m : all) {
     if (name == toString(m)) return m;
   }
@@ -445,7 +450,7 @@ int cmdMc(const Args& args) {
             << ", waves: " << r.wavesCompleted;
   if (cfg.por) std::cout << ", ample states: " << r.ampleStates;
   if (cfg.visited != mc::VisitedMode::Exact) {
-    std::cout << ", visited: " << mc::toString(cfg.visited)
+    std::cout << ", visited: " << toString(cfg.visited)
               << ", P(omission) <= " << r.omissionBound;
   }
   std::cout << '\n';
@@ -461,7 +466,7 @@ int cmdMc(const Args& args) {
       std::cout << "  " << step++ << ": " << mc::toString(a) << '\n';
     }
     if (cex.schedule.empty() && cfg.visited != mc::VisitedMode::Exact) {
-      std::cout << "  (no schedule: --visited " << mc::toString(cfg.visited)
+      std::cout << "  (no schedule: --visited " << toString(cfg.visited)
                 << " keeps no parent edges; rerun with --visited exact)\n";
     }
     if (args.has("replay") && cex.schedule.empty()) {
@@ -525,31 +530,17 @@ int cmdCampaign(const Args& args) {
   cfg.mcProcs = static_cast<NodeId>(args.num("mc-procs", 2));
   cfg.mcBlocks = static_cast<BlockId>(args.num("mc-blocks", 1));
   cfg.mcMaxStates = args.num("mc-max-states", 400'000);
-  // Validate here (UsageError, exit 2) so a typo'd mode never reaches the
-  // stage as a SimError (exit 5); the string is forwarded as-is.
-  cfg.mcVisited = mc::toString(parseVisitedMode(args.str("mc-visited",
-                                                         "exact")));
+  cfg.mcVisited = parseVisitedMode(args.str("mc-visited", "exact"));
   cfg.mcMemLimitMb = args.num("mc-mem-limit-mb", 0);
   cfg.mcSpillDir = args.str("mc-spill", "");
   cfg.mcCheckpointDir = args.str("mc-checkpoint", "");
   cfg.mcResumeDir = args.str("mc-resume", "");
   if (!cfg.mcStage &&
-      (cfg.mcVisited != "exact" || cfg.mcMemLimitMb != 0 ||
+      (cfg.mcVisited != VisitedMode::Exact || cfg.mcMemLimitMb != 0 ||
        !cfg.mcSpillDir.empty() || !cfg.mcCheckpointDir.empty() ||
        !cfg.mcResumeDir.empty())) {
     throw UsageError("--mc-visited/--mc-mem-limit-mb/--mc-spill/"
                      "--mc-checkpoint/--mc-resume require --mc-stage");
-  }
-  // Coverage-guided fuzzing stage; --corpus persists novel inputs across
-  // sessions and only makes sense under --fuzz.
-  cfg.fuzz = args.has("fuzz");
-  cfg.corpusDir = args.str("corpus", "");
-  cfg.fuzzStopOnFailure = args.has("fuzz-stop");
-  if (!cfg.fuzz && !cfg.corpusDir.empty()) {
-    throw UsageError("--corpus requires --fuzz");
-  }
-  if (!cfg.fuzz && cfg.fuzzStopOnFailure) {
-    throw UsageError("--fuzz-stop requires --fuzz");
   }
 
   std::cout << "campaign: master-seed=" << cfg.masterSeed
@@ -563,9 +554,6 @@ int cmdCampaign(const Args& args) {
             << (cfg.minimize ? " minimize" : "")
             << (cfg.streaming ? "" : " no-streaming")
             << (cfg.mcStage ? " mc-stage" : "")
-            << (cfg.fuzz ? " fuzz" : "")
-            << (cfg.corpusDir.empty() ? std::string()
-                                      : " corpus=" + cfg.corpusDir)
             << '\n';
 
   const campaign::CampaignResult r = campaign::run(cfg);
@@ -745,10 +733,10 @@ const std::map<std::string, OptionSpec>& optionSpecs() {
       {"campaign",
        {{"seeds", "jobs", "master-seed", "workload", "protocol", "mutant",
          "out", "max-events", "max-minimized", "minimize-attempts",
-         "mc-procs", "mc-blocks", "mc-max-states", "corpus", "mc-visited",
+         "mc-procs", "mc-blocks", "mc-max-states", "mc-visited",
          "mc-mem-limit-mb", "mc-spill", "mc-checkpoint", "mc-resume"},
         {"until-coverage", "minimize", "quiet", "streaming",
-         "no-streaming", "mc-stage", "fuzz", "fuzz-stop"}}},
+         "no-streaming", "mc-stage"}}},
       {"serve",
        {{"nodes", "port", "blocks", "words", "seed", "store-buffer",
          "mutant", "heartbeat-pumps", "idle-timeout-ms", "drain-timeout-ms",
@@ -810,7 +798,8 @@ void usage(std::ostream& os) {
       "                    bytes/state, spill/checkpoint traffic, peak RSS;\n"
       "                    timings are wall-clock)\n"
       "            --no-evictions --mutant NAME\n"
-      "  campaign  parallel seed-fuzzing campaign over the checker suite\n"
+      "  campaign  parallel seeded campaign over the checker suite (every\n"
+      "            case on the PCT network schedule)\n"
       "            --seeds N --jobs J --master-seed S\n"
       "            --protocol dir|bus|tardis (tardis: per-case lease\n"
       "                                       lengths, lease-churn mix)\n"
@@ -825,10 +814,6 @@ void usage(std::ostream& os) {
       "            --mc-procs N --mc-blocks B --mc-max-states M\n"
       "            --mc-visited exact|compact|bitstate --mc-mem-limit-mb M\n"
       "            --mc-spill DIR --mc-checkpoint DIR --mc-resume DIR\n"
-      "            --fuzz (coverage-guided: mutate corpus inputs, keep the\n"
-      "                    ones with novel coverage; --seeds is the budget)\n"
-      "            --corpus DIR (persistent corpus; resumes + accumulates)\n"
-      "            --fuzz-stop (stop at the first failing wave)\n"
       "  serve     host a message-passing DSM with live online verification\n"
       "            --nodes N --port P (certifier on P, node i on P+1+i)\n"
       "            --once (exit after the first completed load session)\n"
