@@ -171,12 +171,7 @@ class BusBackend final : public CoherenceBackend {
           "bus backend does not support the TSO store-buffer extension "
           "(storeBufferDepth must be 0)");
     }
-    if (sys.proto.mutant != Mutant::None &&
-        sys.proto.mutant != Mutant::IgnoreInvalidation) {
-      throw SimError(std::string("mutant '") + toString(sys.proto.mutant) +
-                     "' is not implemented by the bus backend "
-                     "(only ignore-invalidation)");
-    }
+    requireMutant(ProtocolKind::Bus, sys.proto.mutant);
     SystemConfig cfg = sys;
     cfg.protocol = ProtocolKind::Bus;
     return std::make_unique<BusAdapter>(cfg, sink);

@@ -465,24 +465,7 @@ Failure finalizeFailure(const CampaignConfig& cfg, std::uint64_t index,
 
 CampaignResult run(const CampaignConfig& cfg) {
   LCDC_EXPECT(cfg.seeds > 0, "campaign needs at least one seed");
-  if (cfg.protocol == ProtocolKind::Tardis && cfg.mutant != Mutant::None &&
-      !isTardisMutant(cfg.mutant)) {
-    throw SimError(std::string("mutant '") + toString(cfg.mutant) +
-                   "' targets the directory protocol; the tardis backend "
-                   "only implements drop-lease-bump, flush-stale-epoch, "
-                   "complete-stale-epoch and displace-parked-flush");
-  }
-  if (cfg.protocol == ProtocolKind::Directory && isTardisMutant(cfg.mutant)) {
-    throw SimError(std::string("mutant '") + toString(cfg.mutant) +
-                   "' targets the tardis protocol; the directory does not "
-                   "implement it");
-  }
-  if (cfg.protocol == ProtocolKind::Bus && cfg.mutant != Mutant::None &&
-      cfg.mutant != Mutant::IgnoreInvalidation) {
-    throw SimError(std::string("mutant '") + toString(cfg.mutant) +
-                   "' is not implemented by the bus backend (only "
-                   "ignore-invalidation)");
-  }
+  requireMutant(cfg.protocol, cfg.mutant);
   const auto t0 = std::chrono::steady_clock::now();
 
   CampaignResult result;

@@ -121,6 +121,21 @@ const char* toString(ProtocolKind k) {
   return "protocol(?)";
 }
 
+void requireMutant(ProtocolKind k, Mutant m) {
+  if (implementsMutant(k, m)) return;
+  std::string msg = std::string("mutant '") + toString(m) +
+                    "' is not implemented by the " + toString(k) +
+                    " backend, which implements:";
+  const char* sep = " ";
+  for (const Mutant other : kAllMutants) {
+    if (other == Mutant::None || !implementsMutant(k, other)) continue;
+    msg += sep;
+    msg += toString(other);
+    sep = ", ";
+  }
+  throw SimError(msg);
+}
+
 void failExpect(const char* cond, const char* file, int line,
                 const std::string& msg) {
   std::ostringstream os;

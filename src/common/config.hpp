@@ -70,12 +70,20 @@ enum class Mutant : std::uint8_t {
 
 [[nodiscard]] const char* toString(Mutant m);
 
-/// True for the mutants only the Tardis backend implements.  The Tardis
-/// home refuses every other mutant, and the directory refuses these.
-[[nodiscard]] constexpr bool isTardisMutant(Mutant m) {
-  return m == Mutant::DropLeaseBump || m == Mutant::FlushStaleEpoch ||
-         m == Mutant::CompleteStaleEpoch || m == Mutant::DisplaceParkedFlush;
-}
+/// Every mutant, Mutant::None first.
+inline constexpr Mutant kAllMutants[] = {Mutant::None,
+                                         Mutant::SkipInvAckWait,
+                                         Mutant::StaleDataFromHome,
+                                         Mutant::IgnoreInvalidation,
+                                         Mutant::ForwardStaleValue,
+                                         Mutant::NoBusyNack,
+                                         Mutant::NoDeadlockDetection,
+                                         Mutant::DropLeaseBump,
+                                         Mutant::FlushStaleEpoch,
+                                         Mutant::CompleteStaleEpoch,
+                                         Mutant::DisplaceParkedFlush,
+                                         Mutant::SkipWbClockAbsorb,
+                                         Mutant::StaleWbForward};
 
 /// How the model checker remembers visited states (DESIGN.md §14).  Kept
 /// here, not in the mc headers, so the campaign's config can name it.
@@ -107,6 +115,27 @@ enum class ProtocolKind : std::uint8_t {
 };
 
 [[nodiscard]] const char* toString(ProtocolKind k);
+
+/// Which backend implements each mutant: Tardis the four Tardis mutants,
+/// the bus only ignore-invalidation, the directory every other one.  All
+/// three run Mutant::None.
+[[nodiscard]] constexpr bool implementsMutant(ProtocolKind k, Mutant m) {
+  if (m == Mutant::None) return true;
+  const bool tardis = m == Mutant::DropLeaseBump ||
+                      m == Mutant::FlushStaleEpoch ||
+                      m == Mutant::CompleteStaleEpoch ||
+                      m == Mutant::DisplaceParkedFlush;
+  switch (k) {
+    case ProtocolKind::Directory: return !tardis;
+    case ProtocolKind::Bus: return m == Mutant::IgnoreInvalidation;
+    case ProtocolKind::Tardis: return tardis;
+  }
+  return false;
+}
+
+/// Throws SimError, with the one refusal message every engine and the
+/// controllers share, when backend `k` does not implement mutant `m`.
+void requireMutant(ProtocolKind k, Mutant m);
 
 /// Protocol-level switches.  The same config drives the event simulator and
 /// the model checker, so both always exercise the same protocol variant.

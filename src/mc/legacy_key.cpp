@@ -1,8 +1,28 @@
 #include "mc/legacy_key.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 namespace lcdc::mc {
+
+namespace {
+
+/// All processor-id permutations when symmetry reduction is on (identity
+/// first), or just the identity.
+std::vector<std::vector<NodeId>> makeNodePermutations(NodeId procs,
+                                                      bool symmetry) {
+  std::vector<NodeId> ident(procs);
+  std::iota(ident.begin(), ident.end(), NodeId{0});
+  if (!symmetry || procs > kMaxSymmetryProcs) return {ident};
+  std::vector<std::vector<NodeId>> out;
+  std::vector<NodeId> perm = ident;
+  do {
+    out.push_back(perm);
+  } while (std::next_permutation(perm.begin(), perm.end()));
+  return out;
+}
+
+}  // namespace
 
 LegacyCanonicalizer::LegacyCanonicalizer(const McConfig& cfg)
     : cfg_(cfg),

@@ -1405,6 +1405,7 @@ void validate(const McConfig& cfg) {
         "the snoop-queue order already covered by seeded 'lcdc run "
         "--protocol bus'");
   }
+  requireMutant(cfg.protocol, cfg.proto.mutant);
   if (cfg.visited == VisitedMode::Bitstate && cfg.por) {
     throw SimError(
         "--visited bitstate cannot combine with --por: the ample-set "

@@ -21,8 +21,8 @@
 //     protocol never branches on them), and live transaction ids are
 //     renumbered, so the reachable state space is finite and exploration
 //     terminates.  With `symmetry`, processor ids are canonicalized too
-//     (lexicographic minimum over all id permutations, Murphi-scalarset
-//     style).  With `modelData`, word-0 data values and a bounded store
+//     (Murphi-scalarset style: processors sorted by a relabeling-invariant
+//     signature, bytewise minimum over the orders inside tie classes).  With `modelData`, word-0 data values and a bounded store
 //     action are modeled instead of projected, plus a per-state value
 //     coherence check — this is what lets MC refute value-only mutants.
 //   * Exploration is a wave-synchronous parallel BFS over *binary* state
@@ -92,10 +92,10 @@ struct McConfig {
   std::uint64_t maxStates = 2'000'000;
   /// Worker threads for the wave-parallel BFS.
   unsigned jobs = 1;
-  /// Symmetry reduction over processor ids: hash the lexicographic minimum
-  /// over all processor-id permutations.  Sound because processors are
-  /// fully interchangeable (the protocol's control logic never branches on
-  /// the numeric value of a processor id).
+  /// Symmetry reduction over processor ids: hash one representative per
+  /// orbit under processor relabeling (`StateCodec::encode`).  Sound
+  /// because processors are fully interchangeable (the protocol's control
+  /// logic never branches on the numeric value of a processor id).
   bool symmetry = false;
   /// Ample-set partial-order reduction: when a state has a "safe" message
   /// delivery — pure MSHR bookkeeping at one cache that emits nothing,

@@ -13,6 +13,7 @@
 #include "common/expect.hpp"
 #include "common/flat_set.hpp"
 #include "mc/model_checker.hpp"
+#include "mc/state_codec.hpp"
 #include "trace/codec.hpp"
 
 namespace lcdc::mc {
@@ -125,6 +126,7 @@ std::uint64_t configDigest(const McConfig& cfg) {
   putU64(buf, cfg.modelData ? 1 : 0);
   putU64(buf, static_cast<std::uint64_t>(cfg.visited));
   putU64(buf, cfg.visited == VisitedMode::Bitstate ? cfg.bitstateMb : 0);
+  if (cfg.symmetry) putU64(buf, kSymmetryCanonicalForm);
   return fingerprintHash(buf.data(), buf.size());
 }
 

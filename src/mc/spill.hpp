@@ -46,8 +46,9 @@ namespace lcdc::mc {
 struct McConfig;
 
 /// Digest over the semantic exploration parameters (topology, protocol
-/// switches, reductions, visited mode) — the fields that determine the
-/// state space and its counts.  Tuning knobs that only shape *how* the
+/// switches, reductions, visited mode, and under symmetry the canonical
+/// form) — the fields that determine the state space, its counts and the
+/// stored representatives.  Tuning knobs that only shape *how* the
 /// space is walked (jobs, memory limit, state/depth caps, spill and
 /// checkpoint paths) are excluded, so a resumed run may lift its caps or
 /// change its thread count but never silently switch protocols.

@@ -1,7 +1,9 @@
 #include "mc/state_codec.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <numeric>
 
 #include "common/expect.hpp"
 
@@ -33,6 +35,36 @@ std::uint16_t valCode(const BlockValue& v) {
   if (v.empty()) return 0;
   LCDC_EXPECT(v[0] <= 254, "modelData value out of 8-bit code range");
   return static_cast<std::uint16_t>(v[0] + 1);
+}
+
+template <typename T>
+constexpr std::uint64_t u64(T v) {
+  return static_cast<std::uint64_t>(v);
+}
+
+/// splitmix64's finalizer: folds packed fields into a signature term.
+constexpr std::uint64_t mix(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// The places a processor's signature sums over, one term per mention.
+enum Tag : std::uint64_t {
+  kOwn,           ///< its own lines and MSHRs
+  kSharer,        ///< in a directory sharer set
+  kBusy,          ///< a busy directory entry's requester
+  kAckPending,    ///< another MSHR awaits its invalidation ack
+  kEarlyAck,      ///< another MSHR holds its early ack
+  kFwdRequester,  ///< requester of another MSHR's pending forward
+  kBufRequester,  ///< requester of a message buffered at another MSHR
+  kFlight,        ///< dst, src, requester or inv target of a message
+};
+
+constexpr std::uint64_t term(Tag tag, std::uint64_t payload) {
+  return mix(payload * 8 + tag);
 }
 
 }  // namespace
@@ -108,12 +140,12 @@ class StateCodec::BitReader {
 
 StateCodec::StateCodec(const McConfig& cfg)
     : cfg_(cfg),
-      perms_(makeNodePermutations(cfg.numProcessors, cfg.symmetry)) {
-  for (const auto& perm : perms_) {
-    std::vector<NodeId> inv(perm.size());
-    for (NodeId i = 0; i < perm.size(); ++i) inv[perm[i]] = i;
-    invPerms_.push_back(std::move(inv));
-  }
+      symmetric_(cfg.symmetry && cfg.numProcessors <= kMaxSymmetryProcs),
+      ident_(cfg.numProcessors),
+      perm_(cfg.numProcessors),
+      inv_(cfg.numProcessors),
+      sig_(cfg.numProcessors) {
+  std::iota(ident_.begin(), ident_.end(), NodeId{0});
   noneNode_ = cfg.numProcessors + 1;
   nodeW_ = bitsFor(noneNode_);
   blockW_ = bitsFor(cfg.numBlocks > 1 ? cfg.numBlocks - 1 : 1);
@@ -159,12 +191,7 @@ void StateCodec::writeMsgFields(BitWriter& bw, const Flight& f,
   bw.put(static_cast<std::uint8_t>(f.msg.nackKind), kNackW);
   bw.put(static_cast<std::uint8_t>(f.msg.nackedReq), kReqW);
   bw.put(f.msg.ignoreBufferedInv ? 1 : 0, 1);
-  std::uint32_t invMask = 0;
-  for (const NodeId n : f.msg.invTargets) {
-    LCDC_EXPECT(n < cfg_.numProcessors, "inv target out of processor range");
-    invMask |= std::uint32_t{1} << perm[n];
-  }
-  bw.put(invMask, maskW_);
+  bw.put(maskOf(f.msg.invTargets, perm), maskW_);
   if (cfg_.modelData) bw.put(valCode(f.msg.data), kValW);
   bw.put(txnCode, kTxnW);
   bw.put(closesCode, kTxnW);
@@ -184,12 +211,7 @@ void StateCodec::encodeWithPerm(const World& w,
     bw.put(static_cast<std::uint8_t>(e.core.state), kDirStateW);
     bw.put(mapNode(e.core.busyRequester, perm), nodeW_);
     bw.put(static_cast<std::uint8_t>(e.core.busyReq), kReqW);
-    std::uint32_t cachedMask = 0;
-    for (const NodeId n : e.core.cached) {
-      LCDC_EXPECT(n < cfg_.numProcessors, "cached node out of range");
-      cachedMask |= std::uint32_t{1} << perm[n];
-    }
-    bw.put(cachedMask, maskW_);
+    bw.put(maskOf(e.core.cached, perm), maskW_);
     if (cfg_.modelData) bw.put(valCode(e.mem), kValW);
   }
 
@@ -225,18 +247,8 @@ void StateCodec::encodeWithPerm(const World& w,
       bw.put(static_cast<std::uint8_t>(m.req), kReqW);
       bw.put(m.replySeen ? 1 : 0, 1);
       bw.put(m.invListKnown ? 1 : 0, 1);
-      std::uint32_t acksMask = 0;
-      for (const NodeId n : m.acksPending) {
-        LCDC_EXPECT(n < cfg_.numProcessors, "ack-pending node out of range");
-        acksMask |= std::uint32_t{1} << perm[n];
-      }
-      bw.put(acksMask, maskW_);
-      std::uint32_t earlyMask = 0;
-      for (const NodeId n : m.earlyAcks) {
-        LCDC_EXPECT(n < cfg_.numProcessors, "early-ack node out of range");
-        earlyMask |= std::uint32_t{1} << perm[n];
-      }
-      bw.put(earlyMask, maskW_);
+      bw.put(maskOf(m.acksPending, perm), maskW_);
+      bw.put(maskOf(m.earlyAcks, perm), maskW_);
       if (m.pendingFwd) {
         bw.put(1, 1);
         bw.put(static_cast<std::uint8_t>(m.pendingFwd->type), kMsgTypeW);
@@ -288,10 +300,147 @@ void StateCodec::encodeWithPerm(const World& w,
   bw.alignByte();
 }
 
+std::uint32_t StateCodec::maskOf(const proto::NodeList& nodes,
+                                  const std::vector<NodeId>& perm) const {
+  std::uint32_t mask = 0;
+  for (const NodeId n : nodes) {
+    LCDC_EXPECT(n < cfg_.numProcessors, "processor set names a non-processor");
+    mask |= std::uint32_t{1} << perm[n];
+  }
+  return mask;
+}
+
+void StateCodec::signProcessors(const World& w) {
+  const NodeId procs = cfg_.numProcessors;
+  const bool data = cfg_.modelData;
+  const bool epoch = data && cfg_.proto.mutant == Mutant::ForwardStaleValue;
+  // A node reference as seen from processor `self`.
+  const auto role = [procs](NodeId n, NodeId self) -> std::uint64_t {
+    if (n == self) return 0;
+    if (n == kNoNode) return 1;
+    return n < procs ? 2 : 3;
+  };
+  const auto has = [](TransactionId t) { return u64(t != kNoTransaction); };
+  const auto addTo = [this](std::uint32_t procMask, std::uint64_t t) {
+    for (; procMask != 0; procMask &= procMask - 1) {
+      sig_[static_cast<std::size_t>(std::countr_zero(procMask))] += t;
+    }
+  };
+  const auto procBit = [procs](NodeId n) {
+    return n < procs ? std::uint32_t{1} << n : 0;
+  };
+  std::fill(sig_.begin(), sig_.end(), 0);
+
+  for (BlockId b = 0; b < cfg_.numBlocks; ++b) {
+    const proto::DirEntry& e = w.dirs[0].entry(b);
+    const std::uint64_t at = u64(b) << 8 | u64(e.core.state) << 2 |
+                             u64(e.core.busyReq);
+    addTo(maskOf(e.core.cached, ident_), term(kSharer, at));
+    addTo(procBit(e.core.busyRequester), term(kBusy, at));
+  }
+
+  for (NodeId p = 0; p < procs; ++p) {
+    const std::uint32_t self = std::uint32_t{1} << p;
+    std::uint64_t own = 0;
+    for (BlockId b = 0; b < cfg_.numBlocks; ++b) {
+      const proto::Line* line = w.caches[p].findLine(b);
+      if (line == nullptr) {
+        own = mix(own);
+        continue;
+      }
+      own = mix(own ^ (1 | u64(line->cstate) << 1 | u64(line->astate) << 3 |
+                       has(line->ignoreFwdTxn) << 5 |
+                       has(line->dropInvTxn) << 6 |
+                       (data ? u64(valCode(line->data)) << 7 : 0) |
+                       (epoch ? u64(valCode(line->epochStartData)) << 15 : 0) |
+                       u64(line->mshr.has_value()) << 23));
+      if (!line->mshr) continue;
+      const proto::Mshr& m = *line->mshr;
+      const std::uint32_t acks = maskOf(m.acksPending, ident_);
+      const std::uint32_t early = maskOf(m.earlyAcks, ident_);
+      std::uint64_t fwd = 0;
+      if (m.pendingFwd) {
+        const NodeId r = m.pendingFwd->requester;
+        fwd = 1 | u64(m.pendingFwd->type) << 1 | role(r, p) << 6;
+        addTo(procBit(r) & ~self,
+              term(kFwdRequester, u64(b) << 5 | u64(m.pendingFwd->type)));
+      }
+      own = mix(own ^ (u64(m.req) | u64(m.replySeen) << 2 |
+                       u64(m.invListKnown) << 3 |
+                       u64(std::popcount(acks & ~self)) << 4 |
+                       u64((acks & self) != 0) << 10 |
+                       u64(std::popcount(early & ~self)) << 11 |
+                       u64((early & self) != 0) << 17 | fwd << 18 |
+                       (data ? u64(valCode(m.data)) << 26 : 0) |
+                       u64(m.buffered.size()) << 34));
+      addTo(acks & ~self, term(kAckPending, b));
+      addTo(early & ~self, term(kEarlyAck, b));
+      for (const proto::Message& bm : m.buffered) {
+        own = mix(own ^ (u64(bm.type) | role(bm.requester, p) << 5 |
+                         has(bm.txn) << 7));
+        addTo(procBit(bm.requester) & ~self,
+              term(kBufRequester, u64(b) << 5 | u64(bm.type)));
+      }
+    }
+    sig_[p] += term(kOwn, own);
+  }
+
+  for (const Flight& f : w.flight) {
+    const proto::Message& msg = f.msg;
+    const std::uint32_t inv = maskOf(msg.invTargets, ident_);
+    const std::uint64_t content = mix(
+        u64(msg.type) | u64(msg.nackKind) << 5 | u64(msg.nackedReq) << 9 |
+        u64(msg.ignoreBufferedInv) << 11 | has(msg.txn) << 12 |
+        has(msg.closesTxn) << 13 | u64(std::popcount(inv)) << 14 |
+        (data ? u64(valCode(msg.data)) << 20 : 0) | u64(msg.block) << 28);
+    std::uint32_t named =
+        procBit(f.dst) | procBit(msg.src) | procBit(msg.requester) | inv;
+    for (; named != 0; named &= named - 1) {
+      const auto p = static_cast<NodeId>(std::countr_zero(named));
+      const std::uint64_t roles = role(f.dst, p) | role(msg.src, p) << 2 |
+                                  role(msg.requester, p) << 4 |
+                                  u64((inv >> p) & 1) << 6;
+      sig_[p] += term(kFlight, content ^ roles);
+    }
+  }
+}
+
+bool StateCodec::nextTieOrder() {
+  for (auto t = ties_.rbegin(); t != ties_.rend(); ++t) {
+    if (std::next_permutation(inv_.begin() + t->first,
+                              inv_.begin() + t->second)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 void StateCodec::encode(const World& w, std::vector<std::byte>& out) {
-  encodeWithPerm(w, perms_[0], invPerms_[0], out);
-  for (std::size_t i = 1; i < perms_.size(); ++i) {
-    encodeWithPerm(w, perms_[i], invPerms_[i], cur_);
+  if (!symmetric_) {
+    encodeWithPerm(w, ident_, ident_, out);
+    return;
+  }
+  const NodeId procs = cfg_.numProcessors;
+  signProcessors(w);
+  inv_ = ident_;
+  std::sort(inv_.begin(), inv_.end(), [this](NodeId a, NodeId b) {
+    return sig_[a] != sig_[b] ? sig_[a] < sig_[b] : a < b;
+  });
+  ties_.clear();
+  for (NodeId i = 0; i < procs;) {
+    NodeId j = i + 1;
+    while (j < procs && sig_[inv_[j]] == sig_[inv_[i]]) ++j;
+    if (j - i > 1) ties_.emplace_back(i, j);
+    i = j;
+  }
+  const auto place = [this, procs] {
+    for (NodeId i = 0; i < procs; ++i) perm_[inv_[i]] = i;
+  };
+  place();
+  encodeWithPerm(w, perm_, inv_, out);
+  while (nextTieOrder()) {
+    place();
+    encodeWithPerm(w, perm_, inv_, cur_);
     LCDC_EXPECT(cur_.size() == out.size(),
                 "permuted encodings must have equal length");
     if (std::memcmp(cur_.data(), out.data(), out.size()) < 0) {

@@ -1,8 +1,5 @@
 #include "mc/world.hpp"
 
-#include <algorithm>
-#include <numeric>
-
 namespace lcdc::mc {
 
 namespace {
@@ -31,19 +28,6 @@ World makeInitialWorld(const McConfig& cfg, proto::TxnCounter& txns) {
     w.caches.emplace_back(p, cfg.proto, proto::nullSink(), nullCacheClient());
   }
   return w;
-}
-
-std::vector<std::vector<NodeId>> makeNodePermutations(NodeId procs,
-                                                      bool symmetry) {
-  std::vector<NodeId> ident(procs);
-  std::iota(ident.begin(), ident.end(), NodeId{0});
-  if (!symmetry || procs > 6) return {ident};
-  std::vector<std::vector<NodeId>> out;
-  std::vector<NodeId> perm = ident;
-  do {
-    out.push_back(perm);
-  } while (std::next_permutation(perm.begin(), perm.end()));
-  return out;
 }
 
 }  // namespace lcdc::mc

@@ -72,10 +72,11 @@ struct World {
 [[nodiscard]] World makeInitialWorld(const McConfig& cfg,
                                      proto::TxnCounter& txns);
 
-/// All processor-id permutations when symmetry reduction is on (identity
-/// first).  Capped at 6 processors — beyond that the P! canonicalization
-/// cost dwarfs what the reduction saves, so symmetry degrades to identity.
-[[nodiscard]] std::vector<std::vector<NodeId>> makeNodePermutations(
-    NodeId procs, bool symmetry);
+/// Symmetry reduction relabels at most this many processors; beyond it
+/// both canonicalizers (`StateCodec`, `LegacyCanonicalizer`) keep the
+/// identity.  The codec's cost grows with tie classes of identical
+/// processors (P! orders at worst, as in the initial world), the legacy
+/// key's with all P! relabelings.
+inline constexpr NodeId kMaxSymmetryProcs = 6;
 
 }  // namespace lcdc::mc

@@ -51,11 +51,7 @@ void DirStats::merge(const DirStats& other) {
 DirectoryController::DirectoryController(NodeId self, const ProtoConfig& config,
                                          EventSink& sink, TxnCounter& txns)
     : self_(self), config_(config), sink_(&sink), txns_(&txns) {
-  if (isTardisMutant(config_.mutant)) {
-    throw SimError(std::string("mutant '") + toString(config_.mutant) +
-                   "' targets the tardis protocol; the directory does not "
-                   "implement it");
-  }
+  requireMutant(ProtocolKind::Directory, config_.mutant);
 }
 
 void DirectoryController::addBlock(BlockId block, BlockValue initial) {

@@ -50,12 +50,7 @@ TardisHome::TardisHome(NodeId self, const ProtoConfig& config,
                        proto::EventSink& sink, proto::TxnCounter& txns)
     : self_(self), config_(config), sink_(&sink), txns_(&txns) {
   if (config_.leaseLength == 0) config_.leaseLength = 1;
-  if (config_.mutant != Mutant::None && !isTardisMutant(config_.mutant)) {
-    throw SimError(std::string("mutant '") + toString(config_.mutant) +
-                   "' targets the directory protocol; the tardis backend "
-                   "only implements drop-lease-bump, flush-stale-epoch, "
-                   "complete-stale-epoch and displace-parked-flush");
-  }
+  requireMutant(ProtocolKind::Tardis, config_.mutant);
 }
 
 void TardisHome::addBlock(BlockId block, BlockValue initial) {

@@ -21,9 +21,11 @@
 // of its range, and every truncated blob throws SimError.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <map>
+#include <numeric>
 #include <random>
 #include <string>
 #include <unordered_set>
@@ -325,8 +327,6 @@ TEST(StateCodec, EncodingIsInsensitiveToRawTxnIds) {
   EXPECT_EQ(encA, encB);
 }
 
-// -- WorldCodec: the lossless frontier blob -----------------------------------
-
 /// Breadth-first over the reachable canonical classes up to `maxDepth`
 /// actions from the initial world (0 = the whole space), calling `fn` on
 /// the first world found in each class.  Returns the class count.
@@ -359,6 +359,110 @@ std::size_t forEachReachableWorld(const mc::McConfig& cfg,
   }
   return seen.size();
 }
+
+// -- orbit invariance ---------------------------------------------------------
+
+/// `w` with every processor p renamed `sigma[p]`: each cache moves to its
+/// new id, and every node reference is renamed — the directory's sharer
+/// sets and busy requesters, MSHR ack lists, pending forwards and buffered
+/// requesters, and each in-flight message's dst, src, requester and inv
+/// targets.  The home and "no node" keep their ids.
+mc::World permuteWorld(const mc::McConfig& cfg, const mc::World& w,
+                       const std::vector<NodeId>& sigma) {
+  const NodeId procs = cfg.numProcessors;
+  const auto node = [&](NodeId n) { return n < procs ? sigma[n] : n; };
+  const auto nodes = [&](proto::NodeList& list) {
+    for (NodeId& n : list) n = node(n);
+  };
+  const auto message = [&](proto::Message& m) {
+    m.src = node(m.src);
+    m.requester = node(m.requester);
+    nodes(m.invTargets);
+  };
+  mc::World out;
+  out.dirs = w.dirs;
+  for (auto& [b, e] : out.dirs[0].entriesRaw()) {
+    nodes(e.core.cached);
+    std::sort(e.core.cached.begin(), e.core.cached.end());
+    e.core.busyRequester = node(e.core.busyRequester);
+    e.busyTxn.requester = node(e.busyTxn.requester);
+  }
+  std::vector<const proto::CacheController*> from(procs);
+  for (NodeId p = 0; p < procs; ++p) from[sigma[p]] = &w.caches[p];
+  for (NodeId q = 0; q < procs; ++q) {
+    out.caches.emplace_back(q, cfg.proto, proto::nullSink(),
+                            mc::nullCacheClient());
+    proto::CacheController& cache = out.caches.back();
+    cache.clockRaw() = from[q]->clockRaw();
+    cache.linesRaw() = from[q]->linesRaw();
+    for (auto& [b, line] : cache.linesRaw()) {
+      if (!line.mshr) continue;
+      nodes(line.mshr->acksPending);
+      nodes(line.mshr->earlyAcks);
+      if (line.mshr->pendingFwd) message(*line.mshr->pendingFwd);
+      for (proto::Message& bm : line.mshr->buffered) message(bm);
+    }
+    cache.recountLinesHeld();
+  }
+  out.flight = w.flight;
+  for (mc::Flight& f : out.flight) {
+    f.dst = node(f.dst);
+    message(f.msg);
+  }
+  return out;
+}
+
+// The symmetric encoding is a function of the orbit: every relabeling of
+// every reachable world within the depth bound encodes to the same bytes.
+// The plain (identity) encoding must see some relabelings, or the
+// relabeling itself would be inert.
+TEST(StateCodec, EncodingIsInvariantUnderEveryProcessorRelabeling) {
+  struct Case {
+    NodeId procs;
+    BlockId blocks;
+    bool modelData;
+    std::uint64_t maxDepth;
+  };
+  const Case cases[] = {{3, 1, false, 12}, {3, 2, false, 8}, {4, 1, true, 10}};
+  for (const Case& c : cases) {
+    mc::McConfig cfg;
+    cfg.numProcessors = c.procs;
+    cfg.numBlocks = c.blocks;
+    cfg.modelData = c.modelData;
+    cfg.symmetry = true;
+    mc::McConfig plainCfg = cfg;
+    plainCfg.symmetry = false;
+    const std::string label = std::to_string(c.procs) + "x" +
+                              std::to_string(c.blocks) +
+                              (c.modelData ? " data" : "") + " depth " +
+                              std::to_string(c.maxDepth);
+    mc::StateCodec codec(cfg);
+    mc::StateCodec plain(plainCfg);
+    std::vector<NodeId> sigma(c.procs);
+    std::vector<std::byte> enc, permEnc, plainEnc, plainPermEnc;
+    std::size_t mismatches = 0;
+    std::size_t relabeled = 0;
+    proto::TxnCounter txns;
+    const std::size_t worlds =
+        forEachReachableWorld(cfg, txns, c.maxDepth, [&](const mc::World& w) {
+          codec.encode(w, enc);
+          plain.encode(w, plainEnc);
+          std::iota(sigma.begin(), sigma.end(), NodeId{0});
+          while (std::next_permutation(sigma.begin(), sigma.end())) {
+            const mc::World pw = permuteWorld(cfg, w, sigma);
+            codec.encode(pw, permEnc);
+            if (permEnc != enc) mismatches += 1;
+            plain.encode(pw, plainPermEnc);
+            if (plainPermEnc != plainEnc) relabeled += 1;
+          }
+        });
+    EXPECT_EQ(mismatches, 0u) << label;
+    EXPECT_GT(relabeled, worlds) << label;
+    EXPECT_GT(worlds, 500u) << label;
+  }
+}
+
+// -- WorldCodec: the lossless frontier blob -----------------------------------
 
 TEST(WorldCodec, SaveLoadSaveIsByteIdenticalOnEveryReachableWorld) {
   struct Case {

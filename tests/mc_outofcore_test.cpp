@@ -561,6 +561,19 @@ TEST(SpillHygiene, ConfigMismatchOnResumeRaisesSimError) {
   EXPECT_THROW((void)mc::explore(wrongMode), SimError);
 }
 
+// Every checkpoint, spill segment and bitstate dump records the config
+// digest.  Without symmetry it keeps its format-v2 value, so those files
+// keep loading.  With symmetry it also names the canonical form: files
+// holding another form's orbit representatives would count some orbits
+// twice on resume, so the mismatch refuses them.
+TEST(SpillHygiene, ConfigDigestIsPinnedAndNamesTheSymmetryForm) {
+  const mc::McConfig plain = baseConfig(3, 1);
+  mc::McConfig sym = plain;
+  sym.symmetry = true;
+  EXPECT_EQ(mc::configDigest(plain), 0xac85cd9338a5ea03ULL);
+  EXPECT_EQ(mc::configDigest(sym), 0xafade5a2c939f84bULL);
+}
+
 TEST(SpillHygiene, CorruptFilesRaiseSimErrorNotUb) {
   TempDir dir("bad_files");
   mc::McConfig cfg = baseConfig(3, 1);

@@ -460,6 +460,10 @@ TEST(GoldenCounts, MatchTheStringEngine) {
       {2, 2, false, false, false, 10, 11034, 58992, 4980, 10},
       {2, 2, true, true, false, 10, 5530, 29570, 2490, 10},
       {3, 2, true, true, false, 8, 4833, 41424, 2858, 8},
+      // Recorded with the all-P! symmetric codec, before the signature-
+      // sorted one replaced it.
+      {4, 1, true, true, true, 12, 5117, 28711, 2421, 12},
+      {4, 1, true, false, false, 12, 3671, 19910, 1622, 12},
   };
   for (const GoldenCase& g : cases) {
     mc::McConfig cfg;

@@ -161,23 +161,21 @@ ProtocolKind parseProtocol(const std::string& name) {
 }
 
 Mutant parseMutant(const std::string& name) {
-  const Mutant all[] = {Mutant::None,
-                        Mutant::SkipInvAckWait,
-                        Mutant::StaleDataFromHome,
-                        Mutant::IgnoreInvalidation,
-                        Mutant::ForwardStaleValue,
-                        Mutant::NoBusyNack,
-                        Mutant::NoDeadlockDetection,
-                        Mutant::DropLeaseBump,
-                        Mutant::FlushStaleEpoch,
-                        Mutant::CompleteStaleEpoch,
-                        Mutant::DisplaceParkedFlush,
-                        Mutant::SkipWbClockAbsorb,
-                        Mutant::StaleWbForward};
-  for (const Mutant m : all) {
+  for (const Mutant m : kAllMutants) {
     if (name == toString(m)) return m;
   }
   throw UsageError("unknown mutant: " + name);
+}
+
+/// `--mutant`, refused as a usage error when backend `k` lacks it.
+Mutant parseMutantFor(const Args& args, ProtocolKind k) {
+  const Mutant m = parseMutant(args.str("mutant", "none"));
+  try {
+    requireMutant(k, m);
+  } catch (const SimError& e) {
+    throw UsageError(e.what());
+  }
+  return m;
 }
 
 mc::VisitedMode parseVisitedMode(const std::string& name) {
@@ -513,7 +511,7 @@ int cmdCampaign(const Args& args) {
   if (workloadName != "mixed") {
     cfg.workload = parseWorkload(workloadName);
   }
-  cfg.mutant = parseMutant(args.str("mutant", "none"));
+  cfg.mutant = parseMutantFor(args, cfg.protocol);
   cfg.untilCoverage = args.has("until-coverage");
   cfg.minimize = args.has("minimize");
   cfg.maxMinimized = args.num("max-minimized", 4);
@@ -648,7 +646,7 @@ int cmdServe(const Args& args) {
   cfg.system.seed = args.num("seed", 1);
   cfg.system.storeBufferDepth =
       static_cast<std::uint32_t>(args.num("store-buffer", 0));
-  cfg.system.proto.mutant = parseMutant(args.str("mutant", "none"));
+  cfg.system.proto.mutant = parseMutantFor(args, cfg.system.protocol);
   cfg.heartbeatEveryPumps = args.num("heartbeat-pumps", 16);
   if (cfg.heartbeatEveryPumps == 0) {
     throw UsageError("--heartbeat-pumps must be at least 1");
