@@ -107,7 +107,7 @@ Outcome randomized(Mutant mutant, std::uint64_t seeds) {
       sys.setProgram(p, std::move(prog));
     }
     workload::Program writer;
-    for (int i = 0; i < 30; ++i) {
+    for (std::uint64_t i = 0; i < 30; ++i) {
       writer.steps.push_back(store(0, 0, workload::makeStoreValue(2, i)));
       writer.steps.push_back(evict(0));
     }

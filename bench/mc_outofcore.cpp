@@ -3,9 +3,10 @@
 // Three questions, each answered on the full 3-proc x 1-block space with
 // evictions (the largest space this suite explores to exhaustion):
 //
-//   S17a  what does spilling the frontier to disk cost?  In-RAM arenas
-//         vs spill-to-disk segments: same counts (pinned), throughput,
-//         tracked-bytes peak, and the spill traffic itself.
+//   S17a  what does spilling the frontier to disk cost?  Segments in the
+//         in-RAM arenas vs in files, at --jobs 1 and 4: same counts
+//         (pinned), throughput, tracked-bytes peak, and the spill traffic
+//         itself.
 //   S17b  what do the lossy visited modes buy?  exact vs hash-compaction
 //         vs bitstate: bytes/state retained and the measured omission
 //         bound each mode reports.
@@ -49,9 +50,10 @@ mc::McConfig baseConfig(bool quick) {
   cfg.numBlocks = 1;
   cfg.allowEvictions = true;
   cfg.maxStates = 2'000'000;
-  // Quick mode bounds by DEPTH, not state count: a depth bound stops at a
-  // completed wave, where counts are pinned for any engine and --jobs; a
-  // state cap cuts mid-wave, where the prefix is scheduling-dependent.
+  // Quick mode bounds by depth, which keeps the full S17c mem-limit stop
+  // mid-run.  (A state cap would pin the counts as well: a capped wave
+  // picks its records by canonical fingerprint, so its totals are the
+  // same for any --jobs, in RAM or spilled.)
   if (quick) cfg.maxDepth = 14;
   cfg.perf = true;
   return cfg;
@@ -72,45 +74,45 @@ std::uint64_t rate(std::uint64_t states, double secs) {
 int main(int argc, char** argv) {
   const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
 
-  // ---- S17a: in-RAM arenas vs spill-to-disk frontier --------------------
+  // ---- S17a: frontier segments in RAM vs on disk ------------------------
   bench::banner("S17a — frontier residence: in-RAM arenas vs disk segments");
   std::uint64_t ramStates = 0;
   std::uint64_t ramTransitions = 0;
   {
-    bench::Table t({"frontier", "states", "waves", "time (s)", "states/sec",
-                    "tracked peak MiB", "spill MiB", "segments"});
-    {
-      mc::McConfig cfg = baseConfig(quick);
-      bench::Stopwatch timer;
-      const mc::McResult r = mc::explore(cfg);
-      const double secs = timer.seconds();
-      ramStates = r.statesExplored;
-      ramTransitions = r.transitions;
-      t.row("ram", r.statesExplored, r.wavesCompleted, secs,
-            rate(r.statesExplored, secs), mib(r.trackedBytesPeak), 0.0, 0);
-    }
-    {
-      TempDir dir("spill");
-      mc::McConfig cfg = baseConfig(quick);
-      cfg.spillDir = dir.path.string();
-      bench::Stopwatch timer;
-      const mc::McResult r = mc::explore(cfg);
-      const double secs = timer.seconds();
-      t.row("spill", r.statesExplored, r.wavesCompleted, secs,
-            rate(r.statesExplored, secs), mib(r.trackedBytesPeak),
-            mib(r.perf.spillBytesWritten), r.perf.spillSegments);
-      if (r.statesExplored != ramStates || r.transitions != ramTransitions) {
-        std::cerr << "FAIL: spill counts diverge from the in-RAM engine\n";
-        return 1;
+    bench::Table t({"frontier", "jobs", "states", "waves", "time (s)",
+                    "states/sec", "tracked peak MiB", "spill MiB",
+                    "segments"});
+    for (const unsigned jobs : {1u, 4u}) {
+      for (const bool spill : {false, true}) {
+        TempDir dir("spill");
+        mc::McConfig cfg = baseConfig(quick);
+        cfg.jobs = jobs;
+        if (spill) cfg.spillDir = dir.path.string();
+        bench::Stopwatch timer;
+        const mc::McResult r = mc::explore(cfg);
+        const double secs = timer.seconds();
+        if (jobs == 1 && !spill) {
+          ramStates = r.statesExplored;
+          ramTransitions = r.transitions;
+        } else if (r.statesExplored != ramStates ||
+                   r.transitions != ramTransitions) {
+          std::cerr << "FAIL: counts diverge from the in-RAM --jobs 1 run\n";
+          return 1;
+        }
+        t.row(spill ? "spill" : "ram", jobs, r.statesExplored,
+              r.wavesCompleted, secs, rate(r.statesExplored, secs),
+              mib(r.trackedBytesPeak), mib(r.perf.spillBytesWritten),
+              r.perf.spillSegments);
       }
     }
     t.print();
-    std::cout << "\nSame counts by construction (wave-synchronous BFS; "
-                 "tests/mc_outofcore_test\npins it across --jobs).  The "
-                 "tracked peak drops because frontier blobs live\nin sealed "
-                 "segment files instead of ping-pong arenas; what remains "
-                 "is the\nvisited set — the part the lossy modes below "
-                 "shrink.\n";
+    std::cout << "\nSame counts by construction: a wave is cut into record "
+                 "ranges and expanded\nby the same code whether its "
+                 "segments sit in the arenas or in files\n"
+                 "(tests/mc_outofcore_test pins it across --jobs).  The "
+                 "tracked peak drops\nbecause the frontier leaves the "
+                 "arenas; what remains is the visited set —\nthe part the "
+                 "lossy modes below shrink.\n";
   }
 
   // ---- S17b: visited-set representations --------------------------------

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/types.hpp"
+#include "trace/replay.hpp"
 #include "trace/trace.hpp"
 
 namespace lcdc::campaign {
@@ -70,21 +71,13 @@ const char* toString(Point p) {
 }
 
 void Coverage::record(const trace::Trace& trace) {
-  const auto bump = [this](Point p) {
-    if (p != Point::Count) ++counts[static_cast<std::size_t>(p)];
-  };
-  // Serialization records carry post-conversion kinds, so a writeback that
-  // merged into a busy transaction (13/14a) is counted as the race it
-  // became, exactly as the paper numbers it.
-  for (const auto& s : trace.serializations()) bump(pointOf(s.txn.kind));
-  for (const auto& n : trace.nacks()) bump(pointOf(n.kind));
-  counts[static_cast<std::size_t>(Point::PutShared)] +=
-      trace.putShareds().size();
-  counts[static_cast<std::size_t>(Point::DeadlockResolved)] +=
-      trace.deadlockResolutions().size();
-  for (const auto& op : trace.operations()) {
-    if (op.forwarded) bump(Point::ForwardedLoad);
-  }
+  // Serialization records carry post-conversion kinds and replay fires no
+  // onTxnConverted, so a writeback that merged into a busy transaction
+  // (13/14a) is counted as the race it became, exactly as the paper
+  // numbers it.
+  CoverageObserver tally;
+  trace::replay(trace, tally);
+  merge(tally.coverage());
 }
 
 void Coverage::merge(const Coverage& other) {

@@ -108,14 +108,14 @@ struct Coverage {
       ProtocolKind k = ProtocolKind::Directory) const;
 };
 
-/// Online coverage: the same tally Coverage::record() computes from a
-/// recorded trace, accumulated as a pipeline stage instead — the campaign's
-/// streaming path needs no trace at all.  The one subtlety is write-back
-/// conversion (cases 13/14a): the trace recorder rewrites the serialization
-/// record in place, so batch counting sees post-conversion kinds; online we
-/// observe the original onSerialize and rebucket on onTxnConverted, keeping
-/// a bounded window of recent transaction kinds (conversions only ever hit
-/// in-flight transactions, which are young).
+/// The coverage tally, accumulated as a pipeline stage — the campaign's
+/// streaming path needs no trace at all; Coverage::record() replays a
+/// recorded trace through one.  The one subtlety is write-back conversion
+/// (cases 13/14a): the trace recorder rewrites the serialization record in
+/// place, so a replay sees post-conversion kinds; live we observe the
+/// original onSerialize and rebucket on onTxnConverted, keeping a bounded
+/// window of recent transaction kinds (conversions only ever hit in-flight
+/// transactions, which are young).
 class CoverageObserver final : public proto::ObserverAdapter {
  public:
   [[nodiscard]] const Coverage& coverage() const { return cov_; }

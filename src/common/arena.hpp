@@ -81,6 +81,9 @@ class ArenaRef {
  public:
   explicit ArenaRef(Arena& arena) : arena_(&arena) {}
 
+  /// Would `alloc(n)` continue the current block (rather than grab one)?
+  [[nodiscard]] bool fits(std::size_t n) const { return n <= left_; }
+
   std::byte* alloc(std::size_t n) {
     if (n > left_) {
       std::size_t usable = 0;

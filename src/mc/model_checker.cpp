@@ -197,17 +197,6 @@ class ParallelExplorer {
   McResult run();
 
  private:
-  /// A frontier entry: the world as a lossless arena blob plus its id in
-  /// the visited set.  `bound` is the exact number of successors a full
-  /// expansion generates (`successorBound`); the wave's sum sizes the
-  /// visited table and id pages without deserializing.
-  struct FrontierRef {
-    const std::byte* blob = nullptr;
-    std::uint32_t len = 0;
-    std::uint32_t id = 0;
-    std::uint32_t bound = 0;
-  };
-
   /// A deserialized frontier state under expansion.
   struct Node {
     World w;
@@ -226,17 +215,13 @@ class ParallelExplorer {
 
   /// Chunk-local expansion output; merged at the wave barrier in chunk
   /// order so every result field is independent of worker scheduling.
-  /// With spilling, successor blobs go through `writer` into sealed
-  /// segment files (rolled over at kSegmentRecordCap records) instead of
-  /// `next`; the in-order concatenation of `segs` across chunks is the
-  /// same frontier sequence the arenas would hold, which is why exact
-  /// counts stay byte-identical between the two paths.
+  /// Successor records go through `writer` into sealed segments (`segs`,
+  /// files named after `segBase` when spilling); the in-order
+  /// concatenation of `segs` across chunks is the next wave.
   struct ChunkOut {
-    std::vector<FrontierRef> next;
-    std::vector<SegmentInfo> segs;
-    std::unique_ptr<SpillSegmentWriter> writer;
     std::string segBase;
-    std::uint32_t segSeq = 0;
+    std::unique_ptr<SegmentWriter> writer;
+    std::vector<SegmentInfo> segs;
     std::vector<std::string> violations;
     std::uint64_t transitions = 0;
     std::uint64_t ampleStates = 0;
@@ -253,16 +238,9 @@ class ParallelExplorer {
     bool boundOverrun = false;
   };
 
-  /// One wave's frontier when spilling: the sealed segments in frontier
-  /// order plus their aggregate counts.
-  struct WaveSegs {
-    std::vector<SegmentInfo> segs;
-    std::uint64_t records = 0;
-    std::uint64_t boundSum = 0;
-  };
-
-  /// Per-worker state: codecs, bump cursors into the shared arenas, and
-  /// reused scratch buffers.  Strictly single-threaded while checked out.
+  /// Per-worker state: codecs, bump cursors into the shared arenas (the
+  /// next wave's segments are bumped through `nextRef`), and reused
+  /// scratch buffers.  Strictly single-threaded while checked out.
   /// Contexts are pooled and reused across chunks and waves — a fresh
   /// context per chunk would abandon the tail of its current arena block
   /// every chunk, and for the persistent encoding arena that waste
@@ -273,7 +251,7 @@ class ParallelExplorer {
               bool timingOn)
         : m(cfg, txns),
           encRef(encArena),
-          nextRef(encArena),  // rebound to the wave's blob arena on checkout
+          nextRef(encArena),  // rebound to the next wave's arena on checkout
           timing(timingOn) {}
 
     typename Model::Ctx m;  ///< the model's codecs and scratch
@@ -349,19 +327,6 @@ class ParallelExplorer {
            std::memcmp(r.enc, enc.data(), r.len) == 0;
   }
 
-  /// Roll the chunk's open spill segment into its sealed list.
-  static void sealChunk(ChunkOut& out) {
-    if (out.writer) {
-      out.segs.push_back(out.writer->seal());
-      out.writer.reset();
-    }
-  }
-
-  /// Successor records per segment file before rolling over to the next
-  /// one; bounds both segment size and the per-task read granularity of
-  /// the following wave.
-  static constexpr std::uint64_t kSegmentRecordCap = 1u << 16;
-
   /// An id past the pages grown for this wave, or a bitstate claim past
   /// the size the claim table was reserved for (an understated successor
   /// bound; only a corrupt checkpoint can carry one), is never granted.
@@ -373,8 +338,8 @@ class ParallelExplorer {
 
   /// Insert a state already canonically encoded in `enc`; on winning,
   /// remember it according to the visited mode and, unless this is the
-  /// terminal wave, append the world's frontier blob to `out.next` (in
-  /// RAM) or the chunk's spill segment.
+  /// terminal wave, append the world's frontier record to the chunk's
+  /// segments.
   void recordEncoded(const World& s, std::uint32_t parent, const Action& a,
                      WorkerCtx& ctx, ChunkOut& out) {
     const std::uint64_t fp =
@@ -457,20 +422,7 @@ class ParallelExplorer {
       ScopedNanos t(out.perf.worldSaveNanos, ctx.timing);
       model_.save(ctx.m, s, ctx.blob);
     }
-    if (spill_) {
-      if (!out.writer) {
-        out.writer = std::make_unique<SpillSegmentWriter>(
-            out.segBase + "-" + std::to_string(out.segSeq++) + ".seg",
-            digest_);
-      }
-      out.writer->add(id, bound, ctx.blob.data(), ctx.blob.size());
-      if (out.writer->records() >= kSegmentRecordCap) sealChunk(out);
-      return;
-    }
-    std::byte* bp = ctx.nextRef.alloc(ctx.blob.size());
-    std::memcpy(bp, ctx.blob.data(), ctx.blob.size());
-    out.next.push_back(FrontierRef{
-        bp, static_cast<std::uint32_t>(ctx.blob.size()), id, bound});
+    out.writer->add(id, bound, ctx.blob.data(), ctx.blob.size());
   }
 
   void record(const World& s, std::uint32_t parent, const Action& a,
@@ -681,84 +633,67 @@ class ParallelExplorer {
                 "full expansion disagrees with the stored successor bound");
   }
 
-  void expandRange(const std::vector<FrontierRef>& frontier, std::size_t begin,
-                   std::size_t end, std::uint64_t epoch, Arena& nextArena,
-                   ChunkOut& out) {
+  /// A record read back from a file is input: its successor bound must
+  /// describe its world, and its id name a stored state, before the
+  /// expansion invariant and the capped-wave order may rely on them.
+  void checkFileRecord(const World& w, const FrontierRecord& r) const {
+    if (successorBound(w) != r.bound ||
+        (mode_ == VisitedMode::Exact &&
+         r.id >= nextId_.load(std::memory_order_relaxed))) {
+      throw SimError(
+          "spill record disagrees with its world or the visited set "
+          "(corrupt segment)");
+    }
+  }
+
+  /// The segments one chunk writes: files under the spill directory, or
+  /// runs of the next wave's arena bumped through the worker's cursor.
+  [[nodiscard]] std::unique_ptr<SegmentWriter> makeWriter(
+      const std::string& segBase, ArenaRef& arena) const {
+    if (spill_) return std::make_unique<SegmentWriter>(segBase, digest_);
+    return std::make_unique<SegmentWriter>(arena);
+  }
+
+  /// Run `body` as one chunk on a pooled worker context, its successors
+  /// written to `out.segs`.  Exceptions land in `out.error`.
+  template <typename Body>
+  void runChunk(std::uint64_t epoch, Arena& nextArena, ChunkOut& out,
+                Body&& body) {
     std::unique_ptr<WorkerCtx> ctxOwner = acquireCtx(epoch, nextArena);
     WorkerCtx& ctx = *ctxOwner;
     try {
       ScopedNanos whole(out.perf.expandNanos, ctx.timing);
-      for (std::size_t i = begin; i < end; ++i) {
-        const FrontierRef& ref = frontier[i];
-        Node n;
-        {
-          ScopedNanos t(out.perf.worldLoadNanos, ctx.timing);
-          n.w = model_.load(ctx.m, ref.blob, ref.len);
-        }
-        n.id = ref.id;
-        n.bound = ref.bound;
-        const bool violating = checkState(n, out);
-        if (!violating) expandState(n, ctx, out);
-      }
-      sealChunk(out);
+      out.writer = makeWriter(out.segBase, ctx.nextRef);
+      body(ctx);
+      out.segs = out.writer->finish();
     } catch (...) {
       out.error = std::current_exception();
     }
+    out.writer.reset();
     releaseCtx(std::move(ctxOwner));
   }
 
-  /// Spill-mode expansion task: drain one sealed segment.  (A capped
-  /// wave takes the in-RAM path instead; see `pickCapped`.)
-  void expandSegment(const SegmentInfo& seg, std::uint64_t epoch,
-                     ChunkOut& out) {
-    std::unique_ptr<WorkerCtx> ctxOwner = acquireCtx(epoch, waveArenas_[0]);
-    WorkerCtx& ctx = *ctxOwner;
-    try {
-      ScopedNanos whole(out.perf.expandNanos, ctx.timing);
-      SpillSegmentReader reader(seg.path, digest_);
-      // A freshly sealed segment always agrees with its catalogue entry;
-      // a mismatch means the file or the checkpoint manifest was altered
-      // after the seal.
-      if (reader.records() != seg.records ||
-          reader.boundSum() != seg.boundSum ||
-          reader.payloadBytes() != seg.payloadBytes) {
-        throw SimError(
-            "spill segment header disagrees with its catalogue entry "
-            "(corrupt segment or manifest): " +
-            seg.path);
-      }
-      SpillSegmentReader::Record r;
-      std::uint64_t done = 0;
-      for (; reader.next(r); done += 1) {
-        Node n;
-        {
-          ScopedNanos t(out.perf.worldLoadNanos, ctx.timing);
-          n.w = model_.load(ctx.m, r.blob, r.len);
-        }
-        n.id = static_cast<std::uint32_t>(r.id);
-        n.bound = r.bound;
-        // A record from disk is input: its bound must describe its world
-        // before it may be held to the expansion invariant.
-        if (successorBound(n.w) != n.bound) {
-          throw SimError(
-              "spill record's successor bound does not match its world "
-              "(corrupt segment): " +
-              seg.path);
-        }
-        out.perf.spillBytesRead += r.len;
-        const bool violating = checkState(n, out);
-        if (!violating) expandState(n, ctx, out);
-      }
-      if (done < seg.records) {
-        throw SimError("spill segment holds fewer records than its header "
-                       "claims: " +
-                       seg.path);
-      }
-      sealChunk(out);
-    } catch (...) {
-      out.error = std::current_exception();
-    }
-    releaseCtx(std::move(ctxOwner));
+  /// The engine's one expansion task: records [begin, end) of `wave`, in
+  /// frontier order, wherever their segments live.
+  void expandRecords(const Wave& wave, std::uint64_t begin, std::uint64_t end,
+                     std::uint64_t epoch, Arena& nextArena, ChunkOut& out) {
+    runChunk(epoch, nextArena, out, [&](WorkerCtx& ctx) {
+      wave.forEach(begin, end, digest_,
+                   [&](const FrontierRecord& r, bool onDisk) {
+                     Node n;
+                     {
+                       ScopedNanos t(out.perf.worldLoadNanos, ctx.timing);
+                       n.w = model_.load(ctx.m, r.blob, r.len);
+                     }
+                     n.id = static_cast<std::uint32_t>(r.id);
+                     n.bound = r.bound;
+                     if (onDisk) {
+                       checkFileRecord(n.w, r);
+                       out.perf.spillBytesRead += r.len;
+                     }
+                     if (!checkState(n, out)) expandState(n, ctx, out);
+                   });
+    });
   }
 
   /// A state-capped wave expands the `keep` frontier records with the
@@ -766,35 +701,46 @@ class ParallelExplorer {
   /// keeps two states with one fingerprint) go by encoding bytes.  The
   /// frontier's own order depends on which worker won each insert race,
   /// so this is what makes capped counts independent of `jobs` and of
-  /// spilling.  Loading each world also holds a record read back from
-  /// disk to its stored successor bound.
-  std::vector<FrontierRef> pickCapped(const std::vector<FrontierRef>& all,
-                                      std::uint64_t keep, WorkerCtx& ctx) {
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> keys;
-    for (std::uint32_t i = 0; i < all.size(); ++i) {
-      const World w = model_.load(ctx.m, all[i].blob, all[i].len);
-      if (successorBound(w) != all[i].bound ||
-          (mode_ == VisitedMode::Exact &&
-           all[i].id >= nextId_.load(std::memory_order_relaxed))) {
-        throw SimError("frontier record disagrees with its world or the "
-                       "visited set (corrupt spill segment)");
+  /// spilling.  The picked records are copied into segments of their own
+  /// (files when spilling; otherwise the next wave's arena, which a capped
+  /// wave, being terminal, writes no successors to), and the wave then
+  /// expands those like any other.
+  Wave pickCapped(const Wave& wave, std::uint64_t keep, std::uint64_t epoch,
+                  Arena& nextArena) {
+    std::unique_ptr<WorkerCtx> ctx = acquireCtx(epoch, nextArena);
+    std::vector<std::unique_ptr<SegmentBytes>> spans;
+    std::vector<std::pair<std::uint64_t, FrontierRecord>> keys;
+    for (const SegmentInfo& seg : wave.segs) {
+      spans.push_back(std::make_unique<SegmentBytes>(seg, digest_));
+      const SegmentBytes& bytes = *spans.back();
+      std::size_t pos = 0;
+      for (std::uint64_t i = 0; i < seg.records; ++i) {
+        const FrontierRecord r = readRecord(bytes.data(), bytes.size(), pos);
+        const World w = model_.load(ctx->m, r.blob, r.len);
+        if (bytes.onDisk()) checkFileRecord(w, r);
+        model_.encode(ctx->m, w, ctx->enc);
+        keys.emplace_back(fingerprintHash(ctx->enc.data(), ctx->enc.size()),
+                          r);
       }
-      model_.encode(ctx.m, w, ctx.enc);
-      keys.emplace_back(fingerprintHash(ctx.enc.data(), ctx.enc.size()), i);
     }
     std::sort(keys.begin(), keys.end(), [&](const auto& a, const auto& b) {
       if (a.first != b.first || mode_ != VisitedMode::Exact) {
         return a.first < b.first;
       }
-      const IdRecord& x = records_[all[a.second].id];
-      const IdRecord& y = records_[all[b.second].id];
+      const IdRecord& x = records_[a.second.id];
+      const IdRecord& y = records_[b.second.id];
       const int c = std::memcmp(x.enc, y.enc, std::min(x.len, y.len));
       return c != 0 ? c < 0 : x.len < y.len;
     });
-    std::vector<FrontierRef> picked;
+    const std::unique_ptr<SegmentWriter> writer =
+        makeWriter(segBasePath(epoch, "cap"), ctx->nextRef);
     for (std::uint64_t k = 0; k < keep; ++k) {
-      picked.push_back(all[keys[static_cast<std::size_t>(k)].second]);
+      const FrontierRecord& r = keys[static_cast<std::size_t>(k)].second;
+      writer->add(r.id, r.bound, r.blob, r.len);
     }
+    Wave picked;
+    for (SegmentInfo& seg : writer->finish()) picked.add(std::move(seg));
+    releaseCtx(std::move(ctx));
     return picked;
   }
 
@@ -821,8 +767,8 @@ class ParallelExplorer {
   /// projection BEFORE reserving, so the growth transient itself can no
   /// longer overshoot `--mem-limit-mb` (it used to: only post-growth
   /// arena bytes were counted).
-  [[nodiscard]] std::uint64_t projectedTrackedBytes(
-      std::size_t frontierCap, std::uint64_t waveBound, unsigned jobs) const {
+  [[nodiscard]] std::uint64_t projectedTrackedBytes(std::uint64_t waveBound,
+                                                    unsigned jobs) const {
     std::uint64_t b = trackedBytesBase();
     b -= visited_.bytes();
     b += visited_.bytesAfterReserve(static_cast<std::size_t>(waveBound));
@@ -833,7 +779,6 @@ class ParallelExplorer {
     b -= idPageBytes(0);
     b += idPageBytes(static_cast<std::size_t>(
         nextId_.load(std::memory_order_relaxed) + waveBound));
-    b += frontierCap * sizeof(FrontierRef);
     if (spill_) b += static_cast<std::uint64_t>(jobs) * kSpillWriterBudget;
     return b;
   }
@@ -843,10 +788,10 @@ class ParallelExplorer {
     return slash == std::string::npos ? path : path.substr(slash + 1);
   }
 
+  /// Name stem of the segment files one writer of wave `epoch` creates.
   [[nodiscard]] std::string segBasePath(std::uint64_t epoch,
-                                        std::size_t chunk) const {
-    return spillPath_ + "/w" + std::to_string(epoch) + "-c" +
-           std::to_string(chunk);
+                                        const std::string& writer) const {
+    return spillPath_ + "/w" + std::to_string(epoch) + "-" + writer;
   }
 
   /// Bitstate barrier publication: fold the wave's claimed fingerprints
@@ -856,33 +801,33 @@ class ParallelExplorer {
         [&](std::uint64_t fp) { bloom_->setAll(fp); });
   }
 
-  void absorbSegs(ChunkOut& o, WaveSegs& next) {
+  void absorbSegs(ChunkOut& o, Wave& next) {
     for (SegmentInfo& s : o.segs) {
-      next.records += s.records;
-      next.boundSum += s.boundSum;
-      result_.perf.spillSegments += 1;
-      result_.perf.spillBytesWritten += s.payloadBytes;
-      next.segs.push_back(std::move(s));
+      if (!s.path.empty()) {
+        result_.perf.spillSegments += 1;
+        result_.perf.spillBytesWritten += s.payloadBytes;
+      }
+      next.add(std::move(s));
     }
     o.segs.clear();
   }
 
-  /// Remove a drained wave's segment files, sparing any referenced by
-  /// the latest checkpoint manifest (a resume needs them intact).  Spared
-  /// files are remembered so the next checkpoint, once its manifest no
-  /// longer references them, can reclaim the disk — otherwise every
-  /// checkpointed wave's segments would accumulate for the whole run.
-  void deleteSegs(WaveSegs& w) {
+  /// Drop a drained wave, removing its segment files but sparing any
+  /// referenced by the latest checkpoint manifest (a resume needs them
+  /// intact).  Spared files are remembered so the next checkpoint, once
+  /// its manifest no longer references them, can reclaim the disk —
+  /// otherwise every checkpointed wave's segments would accumulate for
+  /// the whole run.  (Arena runs go with their arena's reset.)
+  void deleteSegs(Wave& w) {
     for (SegmentInfo& s : w.segs) {
+      if (s.path.empty()) continue;
       if (protected_.count(fileBase(s.path)) == 0) {
         std::remove(s.path.c_str());
       } else {
         retiredSegs_.push_back(std::move(s.path));
       }
     }
-    w.segs.clear();
-    w.records = 0;
-    w.boundSum = 0;
+    w = Wave{};
   }
 
   /// Checkpoint at a wave boundary: append the not-yet-logged visited
@@ -891,7 +836,7 @@ class ParallelExplorer {
   /// any point leaves either the old manifest (with its files intact —
   /// deletion spares them) or the new one; the manifest's visited-log
   /// byte length truncates torn tails on resume.
-  void writeCheckpoint(const WaveSegs& pending) {
+  void writeCheckpoint(const Wave& pending) {
     if (!visitedLog_ && mode_ != VisitedMode::Bitstate) {
       visitedLog_ = std::make_unique<VisitedLogWriter>(
           ckptDir_ + "/visited.log", visitedLogBytes_);
@@ -957,7 +902,7 @@ class ParallelExplorer {
   /// counter (frontier blobs hold raw txn ids — freshly minted ids must
   /// stay unique within any world they meet), the visited structures,
   /// and the pending wave's segment list.
-  void restoreFromCheckpoint(WaveSegs& wave) {
+  void restoreFromCheckpoint(Wave& wave) {
     const CheckpointManifest m = readManifest(cfg_.resumeDir);
     if (m.configDigest != digest_) {
       throw SimError(
@@ -1037,12 +982,11 @@ class ParallelExplorer {
             "checkpoint visited log truncated: fewer records than nextId");
       }
     }
-    for (const SegmentInfo& s : m.frontier) {
-      wave.records += s.records;
-      wave.boundSum += s.boundSum;
+    for (SegmentInfo s : m.frontier) {
+      indexSegment(s, digest_);
       protected_.insert(fileBase(s.path));
+      wave.add(std::move(s));
     }
-    wave.segs = m.frontier;
     loggedRecords_ = m.visitedLogRecords;
     visitedLogBytes_ = m.visitedLogBytes;
   }
@@ -1056,7 +1000,7 @@ class ParallelExplorer {
   std::vector<std::unique_ptr<WorkerCtx>> ctxPool_;
   FlatFingerprintSet visited_;
   Arena encArena_;        ///< canonical encodings of visited states
-  Arena waveArenas_[2];   ///< ping-pong frontier-blob arenas
+  Arena waveArenas_[2];   ///< ping-pong frontier-segment arenas
   std::atomic<std::uint32_t> nextId_{0};
   std::uint32_t idWatermark_ = 0;  ///< POR proviso horizon (wave start)
   IdPages<IdRecord> records_;      ///< exact mode, one per state id
@@ -1097,91 +1041,59 @@ McResult ParallelExplorer<Model>::run() {
   std::optional<CexSeed> cexSeed;
 
   std::size_t cur = 0;
-  std::vector<FrontierRef> frontier;  // in-RAM frontier
-  WaveSegs wave;                      // spilled frontier
+  Wave wave;
 
   if (!cfg_.resumeDir.empty()) {
     restoreFromCheckpoint(wave);
   } else {
     // Seed the root (wave arena 0 / segment w0-c0 holds the first
-    // frontier's blobs).
+    // frontier).
     growIdPages(1);
     ChunkOut rootOut;
-    if (spill_) rootOut.segBase = segBasePath(0, 0);
-    std::unique_ptr<WorkerCtx> ctx = acquireCtx(0, waveArenas_[0]);
-    const World init = model_.initial();
-    try {
-      record(init, kNoParent, Action{}, *ctx, rootOut);
-      sealChunk(rootOut);
-    } catch (...) {
-      rootOut.error = std::current_exception();
-    }
-    releaseCtx(std::move(ctx));
+    rootOut.segBase = segBasePath(0, "c0");
+    runChunk(0, waveArenas_[0], rootOut, [&](WorkerCtx& ctx) {
+      record(model_.initial(), kNoParent, Action{}, ctx, rootOut);
+    });
     if (rootOut.error) std::rethrow_exception(rootOut.error);
     result_.perf.merge(rootOut.perf);
     if (mode_ == VisitedMode::Bitstate) {
       publishClaims();
       waveClaim_->clear();
     }
-    if (spill_) {
-      absorbSegs(rootOut, wave);
-    } else {
-      frontier = std::move(rootOut.next);
-    }
+    absorbSegs(rootOut, wave);
   }
 
-  while (spill_ ? wave.records != 0 : !frontier.empty()) {
-    const std::uint64_t frontSize = spill_ ? wave.records : frontier.size();
-    result_.frontierPeak = std::max(result_.frontierPeak, frontSize);
+  while (wave.records != 0) {
+    result_.frontierPeak = std::max(result_.frontierPeak, wave.records);
     const std::uint64_t remaining =
         cfg_.maxStates > result_.statesExplored
             ? cfg_.maxStates - result_.statesExplored
             : 0;
-    std::uint64_t expandCount = frontSize;
-    if (remaining < frontSize) {
+    std::uint64_t expandCount = wave.records;
+    if (remaining < wave.records) {
       expandCount = remaining;
       result_.hitStateLimit = true;
     }
     if (expandCount == 0) {
-      if (spill_) deleteSegs(wave);
+      deleteSegs(wave);
       break;
     }
     const std::uint64_t epoch = result_.wavesCompleted + 1;
     Arena& nextArena = waveArenas_[1 - cur];
 
-    // A capped wave runs on the in-RAM path over its picked records; a
-    // spilled frontier's stay in their mapped segments until it ends.
-    std::vector<std::unique_ptr<SpillSegmentReader>> capReaders;
-    if (result_.hitStateLimit && spill_) {
-      for (const SegmentInfo& seg : wave.segs) {
-        capReaders.push_back(
-            std::make_unique<SpillSegmentReader>(seg.path, digest_));
-        SpillSegmentReader::Record r;
-        while (capReaders.back()->next(r)) {
-          frontier.push_back(FrontierRef{
-              r.blob, r.len, static_cast<std::uint32_t>(r.id), r.bound});
-        }
-      }
-    }
+    // A capped wave expands only its picked records, copied into segments
+    // of their own; the full wave stays for a memory-limit checkpoint.
+    Wave capped;
     if (result_.hitStateLimit) {
-      std::unique_ptr<WorkerCtx> ctx = acquireCtx(epoch, nextArena);
-      frontier = pickCapped(frontier, expandCount, *ctx);
-      releaseCtx(std::move(ctx));
+      capped = pickCapped(wave, expandCount, epoch, nextArena);
     }
-    const bool fromSegments = spill_ && !result_.hitStateLimit;
+    const Wave& front = result_.hitStateLimit ? capped : wave;
 
     // This wave's successor bound, the sum of its records' exact bounds:
     // the visited table and the id pages may not grow mid-wave (the flat
     // set must not rehash under concurrent inserts; workers index the id
     // pages without locks).
-    std::uint64_t waveBound = 0;
-    if (fromSegments) {
-      waveBound = wave.boundSum;
-    } else {
-      for (std::uint64_t i = 0; i < expandCount; ++i) {
-        waveBound += frontier[static_cast<std::size_t>(i)].bound;
-      }
-    }
+    const std::uint64_t waveBound = front.boundSum;
 
     // Memory-limit verdict — decided only at wave boundaries (counts
     // stay exact and jobs-independent for every completed wave), and
@@ -1190,10 +1102,11 @@ McResult ParallelExplorer<Model>::run() {
     // checkpointing the stop is resumable: the pending wave was either
     // just checkpointed or is checkpointed right here.
     if (cfg_.memLimitMb != 0 &&
-        projectedTrackedBytes(frontier.capacity(), waveBound, jobs) >
+        projectedTrackedBytes(waveBound, jobs) >
             cfg_.memLimitMb * 1024 * 1024) {
       result_.memLimitHit = true;
       if (checkpointing_) writeCheckpoint(wave);
+      deleteSegs(capped);
       break;
     }
 
@@ -1218,38 +1131,24 @@ McResult ParallelExplorer<Model>::run() {
     keepSuccessors_ =
         !result_.hitStateLimit && (!depthStop || checkpointing_);
 
-    std::vector<ChunkOut> outs;
-    if (fromSegments) {
-      // One task per source segment.  Segment order is frontier order, so
-      // in-order merge keeps the global sequence identical to the in-RAM
-      // path.
-      outs.resize(wave.segs.size());
-      for (std::size_t c = 0; c < wave.segs.size(); ++c) {
-        outs[c].segBase = segBasePath(epoch, c);
-        const SegmentInfo* seg = &wave.segs[c];
-        pool.submit([this, seg, epoch, &outs, c] {
-          expandSegment(*seg, epoch, outs[c]);
-        });
-      }
-    } else {
-      // Adaptive chunking: large chunks on small frontiers so
-      // oversubscribed hosts don't pay merge cost for nothing, bounded
-      // below at 64 states.
-      const std::size_t chunkSize = std::max<std::size_t>(
-          static_cast<std::size_t>(expandCount) / (std::size_t{8} * jobs),
-          std::size_t{64});
-      const std::size_t nChunks =
-          (static_cast<std::size_t>(expandCount) + chunkSize - 1) / chunkSize;
-      outs.resize(nChunks);
-      for (std::size_t c = 0; c < nChunks; ++c) {
-        const std::size_t begin = c * chunkSize;
-        const std::size_t end = std::min(static_cast<std::size_t>(expandCount),
-                                         begin + chunkSize);
-        pool.submit([this, &frontier, &outs, &nextArena, epoch, c, begin,
-                     end] {
-          expandRange(frontier, begin, end, epoch, nextArena, outs[c]);
-        });
-      }
+    // Record ranges, not segments, are the unit of work: large ranges on
+    // small frontiers so oversubscribed hosts don't pay merge cost for
+    // nothing, bounded below at 64 records.  Each worker claims the next
+    // range until none is left, so a lone worker expands them in frontier
+    // order and its run repeats to the byte; the barrier merges in range
+    // order whatever the claim order was.
+    const auto ranges = cutWave(front.records, jobs);
+    std::vector<ChunkOut> outs(ranges.size());
+    std::atomic<std::size_t> nextRange{0};
+    for (std::size_t w = 0; w < std::min<std::size_t>(jobs, ranges.size());
+         ++w) {
+      pool.submit([&] {
+        for (std::size_t c = nextRange++; c < ranges.size(); c = nextRange++) {
+          outs[c].segBase = segBasePath(epoch, "c" + std::to_string(c));
+          expandRecords(front, ranges[c].first, ranges[c].second, epoch,
+                        nextArena, outs[c]);
+        }
+      });
     }
     pool.wait();
     for (ChunkOut& o : outs) {
@@ -1266,8 +1165,7 @@ McResult ParallelExplorer<Model>::run() {
     }
 
     result_.statesExplored += expandCount;
-    std::vector<FrontierRef> next;
-    WaveSegs nextWave;
+    Wave nextWave;
     std::vector<std::string> waveViolations;
     for (ChunkOut& o : outs) {
       result_.transitions += o.transitions;
@@ -1278,19 +1176,13 @@ McResult ParallelExplorer<Model>::run() {
         waveViolations.push_back(std::move(v));
       }
       if (!cexSeed && o.cex) cexSeed = std::move(o.cex);
-      if (spill_) {
-        absorbSegs(o, nextWave);
-      } else {
-        for (const FrontierRef& ref : o.next) next.push_back(ref);
-      }
+      absorbSegs(o, nextWave);
     }
     result_.frontierBytesPeak = std::max<std::uint64_t>(
         result_.frontierBytesPeak,
         waveArenas_[0].bytesReserved() + waveArenas_[1].bytesReserved());
-    result_.trackedBytesPeak = std::max<std::uint64_t>(
-        result_.trackedBytesPeak,
-        trackedBytesBase() +
-            (frontier.capacity() + next.capacity()) * sizeof(FrontierRef));
+    result_.trackedBytesPeak =
+        std::max<std::uint64_t>(result_.trackedBytesPeak, trackedBytesBase());
     std::sort(waveViolations.begin(), waveViolations.end());
     waveViolations.erase(
         std::unique(waveViolations.begin(), waveViolations.end()),
@@ -1306,19 +1198,16 @@ McResult ParallelExplorer<Model>::run() {
     if (!result_.violations.empty() || result_.deadlockFound ||
         result_.hitStateLimit) {
       // Terminal verdict: nothing to resume; drop unprotected segments.
-      if (spill_) {
-        deleteSegs(wave);
-        deleteSegs(nextWave);
-      }
+      deleteSegs(wave);
+      deleteSegs(capped);
+      deleteSegs(nextWave);
       break;
     }
     if (cfg_.maxDepth != 0 && result_.wavesCompleted >= cfg_.maxDepth) {
       // Depth-capped stop is resumable (rerun with a larger --max-depth).
       if (checkpointing_) writeCheckpoint(nextWave);
-      if (spill_) {
-        deleteSegs(wave);
-        if (!checkpointing_) deleteSegs(nextWave);
-      }
+      deleteSegs(wave);
+      if (!checkpointing_) deleteSegs(nextWave);
       break;
     }
     if (checkpointing_ &&
@@ -1327,16 +1216,12 @@ McResult ParallelExplorer<Model>::run() {
             0) {
       writeCheckpoint(nextWave);
     }
-    if (spill_) {
-      deleteSegs(wave);
-      wave = std::move(nextWave);
-    } else {
-      frontier = std::move(next);
-      // The expanded wave's blobs are dead; recycle its arena for the
-      // wave after next.
-      waveArenas_[cur].reset();
-      cur = 1 - cur;
-    }
+    deleteSegs(wave);
+    wave = std::move(nextWave);
+    // The expanded wave's segments are dead; recycle its arena for the
+    // wave after next.
+    waveArenas_[cur].reset();
+    cur = 1 - cur;
   }
 
   if (cexSeed) {

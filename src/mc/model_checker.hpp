@@ -30,9 +30,10 @@
 //     `StateCodec`, deduplicated in one flat open-addressing fingerprint
 //     set (`common/flat_set.hpp`, CAS insertion, full-encoding compare on
 //     fingerprint hits), and frontier worlds live as lossless varint
-//     blobs (`WorldCodec`) in ping-pong bump arenas.  Each wave's
-//     frontier is chunked across the work-stealing `lcdc::ThreadPool`,
-//     the visited table grows only at wave boundaries, and all stop
+//     blobs (`WorldCodec`) in segments held in ping-pong bump arenas or
+//     spill files.  Each wave is cut into record ranges across the
+//     work-stealing `lcdc::ThreadPool`, the visited table grows only at
+//     wave boundaries, and all stop
 //     decisions (violation found, deadlock, state cap, memory limit)
 //     happen at wave boundaries, and a state-capped final wave picks its
 //     states by canonical fingerprint, so `statesExplored` /
@@ -130,11 +131,11 @@ struct McConfig {
   /// Bitstate mode only: Bloom array budget in MiB (rounded down to a
   /// power of two of bits).
   std::uint64_t bitstateMb = 64;
-  /// Non-empty: spill each wave's frontier blobs to sealed segment files
-  /// under this directory instead of holding them in the ping-pong
-  /// arenas, bounding frontier RSS by the spill write buffers.  Counts
-  /// and verdicts are byte-identical to the in-RAM engine for any
-  /// `jobs` (the segment concatenation preserves frontier order).
+  /// Non-empty: keep each wave's frontier segments in sealed files under
+  /// this directory instead of the ping-pong arenas, bounding frontier
+  /// RSS by the write buffers and the files a task maps.  A wave is cut
+  /// into record ranges and expanded by the same code either way, so
+  /// counts and verdicts are identical for any `jobs`.
   std::string spillDir;
   /// Non-empty: checkpoint the visited structures + the pending wave's
   /// spill segments at wave boundaries into this directory (implies

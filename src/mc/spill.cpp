@@ -9,7 +9,9 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
+#include "common/arena.hpp"
 #include "common/expect.hpp"
 #include "common/flat_set.hpp"
 #include "mc/model_checker.hpp"
@@ -25,6 +27,9 @@ constexpr char kBloomMagic[8] = {'L', 'C', 'B', 'L', 'O', 'O', 'M', '1'};
 constexpr std::size_t kSpillHeaderBytes = 48;
 constexpr std::size_t kBloomHeaderBytes = 24;
 constexpr std::size_t kWriterFlushBytes = std::size_t{1} << 20;
+/// Records per segment file before the writer rolls over to the next
+/// one: a task maps one file at a time, so this bounds what it maps.
+constexpr std::uint64_t kSegmentRecordCap = std::uint64_t{1} << 16;
 /// First manifest line.  v2 segment lines carry successor-bound sums
 /// (v1 carried in-flight message counts); a v1 manifest is refused.
 constexpr char kManifestHeader[] = "lcdc-mc-checkpoint v2";
@@ -63,50 +68,6 @@ std::uint64_t getLE64(const std::byte* p) {
   throw SimError(what + " '" + path + "': " + std::strerror(errno));
 }
 
-/// Open + mmap a file read-only; throws SimError on any failure.
-struct Mapping {
-  int fd = -1;
-  const std::byte* data = nullptr;
-  std::size_t len = 0;
-};
-
-Mapping mapFile(const std::string& path) {
-  Mapping m;
-  m.fd = ::open(path.c_str(), O_RDONLY);
-  if (m.fd < 0) throwIo("cannot open spill file", path);
-  struct stat st{};
-  if (::fstat(m.fd, &st) != 0) {
-    const int e = errno;
-    ::close(m.fd);
-    errno = e;
-    throwIo("cannot stat spill file", path);
-  }
-  m.len = static_cast<std::size_t>(st.st_size);
-  if (m.len == 0) {
-    // mmap of length 0 is EINVAL; an empty file is simply "no bytes".
-    return m;
-  }
-  void* p = ::mmap(nullptr, m.len, PROT_READ, MAP_PRIVATE, m.fd, 0);
-  if (p == MAP_FAILED) {
-    const int e = errno;
-    ::close(m.fd);
-    errno = e;
-    throwIo("cannot mmap spill file", path);
-  }
-  m.data = static_cast<const std::byte*>(p);
-  return m;
-}
-
-void unmapFile(Mapping& m) {
-  if (m.data != nullptr) {
-    ::munmap(const_cast<std::byte*>(static_cast<const std::byte*>(m.data)),
-             m.len);
-  }
-  if (m.fd >= 0) ::close(m.fd);
-  m.data = nullptr;
-  m.fd = -1;
-}
-
 }  // namespace
 
 std::uint64_t configDigest(const McConfig& cfg) {
@@ -130,125 +91,204 @@ std::uint64_t configDigest(const McConfig& cfg) {
   return fingerprintHash(buf.data(), buf.size());
 }
 
-// -- SpillSegmentWriter ------------------------------------------------------
+// -- SegmentWriter -----------------------------------------------------------
 
-SpillSegmentWriter::SpillSegmentWriter(std::string path,
-                                       std::uint64_t configDigest)
-    : path_(std::move(path)), digest_(configDigest) {
-  f_ = std::fopen(path_.c_str(), "wb");
-  if (f_ == nullptr) throwIo("cannot create spill segment", path_);
-  std::byte header[kSpillHeaderBytes] = {};
-  if (std::fwrite(header, 1, kSpillHeaderBytes, f_) != kSpillHeaderBytes) {
-    throwIo("cannot write spill segment header", path_);
+SegmentWriter::SegmentWriter(ArenaRef& arena) : arena_(&arena) {}
+
+SegmentWriter::SegmentWriter(std::string base, std::uint64_t configDigest)
+    : base_(std::move(base)), digest_(configDigest) {}
+
+SegmentWriter::~SegmentWriter() {
+  if (f_ != nullptr) {
+    std::fclose(f_);
+    std::remove(open_.path.c_str());  // abandon the partial segment
   }
 }
 
-SpillSegmentWriter::~SpillSegmentWriter() {
-  if (f_ != nullptr) std::fclose(f_);
-  if (!sealed_) std::remove(path_.c_str());  // abandon partial segment
-}
-
-void SpillSegmentWriter::add(std::uint64_t id, std::uint32_t bound,
-                             const std::byte* blob, std::size_t len) {
+void SegmentWriter::add(std::uint64_t id, std::uint32_t bound,
+                        const std::byte* blob, std::size_t len) {
   using trace::codec::putU64;
-  putU64(buf_, id);
-  putU64(buf_, bound);
-  putU64(buf_, len);
-  buf_.insert(buf_.end(), blob, blob + len);
-  records_ += 1;
-  payloadBytes_ += len;
-  boundSum_ += bound;
-  if (buf_.size() >= kWriterFlushBytes) flushBuf();
+  std::size_t n = 0;
+  if (arena_ != nullptr) {
+    buf_.clear();
+    putU64(buf_, id);
+    putU64(buf_, bound);
+    putU64(buf_, len);
+    n = buf_.size() + len;
+    if (!arena_->fits(n)) seal();
+    std::byte* p = arena_->alloc(n);
+    if (open_.records == 0) open_.data = p;
+    std::memcpy(p, buf_.data(), buf_.size());
+    std::memcpy(p + buf_.size(), blob, len);
+  } else {
+    if (open_.records == kSegmentRecordCap) seal();
+    if (f_ == nullptr) {
+      open_.path = base_ + "-" + std::to_string(fileSeq_++) + ".seg";
+      f_ = std::fopen(open_.path.c_str(), "wb");
+      if (f_ == nullptr) throwIo("cannot create spill segment", open_.path);
+      const std::byte header[kSpillHeaderBytes] = {};
+      if (std::fwrite(header, 1, kSpillHeaderBytes, f_) != kSpillHeaderBytes) {
+        throwIo("cannot write spill segment header", open_.path);
+      }
+    }
+    const std::size_t before = buf_.size();
+    putU64(buf_, id);
+    putU64(buf_, bound);
+    putU64(buf_, len);
+    buf_.insert(buf_.end(), blob, blob + len);
+    n = buf_.size() - before;
+    if (buf_.size() >= kWriterFlushBytes) flushBuf();
+  }
+  if (open_.records % kMarkStride == 0) open_.marks.push_back(open_.bytes);
+  open_.records += 1;
+  open_.bytes += n;
+  open_.payloadBytes += len;
+  open_.boundSum += bound;
 }
 
-void SpillSegmentWriter::flushBuf() {
+void SegmentWriter::flushBuf() {
   if (buf_.empty()) return;
   if (std::fwrite(buf_.data(), 1, buf_.size(), f_) != buf_.size()) {
-    throwIo("cannot write spill segment", path_);
+    throwIo("cannot write spill segment", open_.path);
   }
   buf_.clear();
 }
 
-SegmentInfo SpillSegmentWriter::seal() {
-  LCDC_EXPECT(!sealed_, "spill segment sealed twice");
-  flushBuf();
-  std::byte header[kSpillHeaderBytes] = {};
-  std::memcpy(header, kSpillMagic, 8);
-  putLE32(header + 8, kSpillVersion);
-  putLE32(header + 12, 0);
-  putLE64(header + 16, digest_);
-  putLE64(header + 24, records_);
-  putLE64(header + 32, payloadBytes_);
-  putLE64(header + 40, boundSum_);
-  if (std::fseek(f_, 0, SEEK_SET) != 0 ||
-      std::fwrite(header, 1, kSpillHeaderBytes, f_) != kSpillHeaderBytes ||
-      std::fflush(f_) != 0) {
-    throwIo("cannot seal spill segment", path_);
+void SegmentWriter::seal() {
+  if (open_.records == 0) return;
+  if (f_ != nullptr) {
+    flushBuf();
+    std::byte header[kSpillHeaderBytes] = {};
+    std::memcpy(header, kSpillMagic, 8);
+    putLE32(header + 8, kSpillVersion);
+    putLE32(header + 12, 0);
+    putLE64(header + 16, digest_);
+    putLE64(header + 24, open_.records);
+    putLE64(header + 32, open_.payloadBytes);
+    putLE64(header + 40, open_.boundSum);
+    if (std::fseek(f_, 0, SEEK_SET) != 0 ||
+        std::fwrite(header, 1, kSpillHeaderBytes, f_) != kSpillHeaderBytes ||
+        std::fflush(f_) != 0) {
+      throwIo("cannot seal spill segment", open_.path);
+    }
+    std::fclose(f_);
+    f_ = nullptr;
   }
-  std::fclose(f_);
-  f_ = nullptr;
-  sealed_ = true;
-  SegmentInfo info;
-  info.path = path_;
-  info.records = records_;
-  info.boundSum = boundSum_;
-  info.payloadBytes = payloadBytes_;
-  return info;
+  sealed_.push_back(std::move(open_));
+  open_ = SegmentInfo{};
 }
 
-// -- SpillSegmentReader ------------------------------------------------------
+std::vector<SegmentInfo> SegmentWriter::finish() {
+  seal();
+  return std::exchange(sealed_, {});
+}
 
-SpillSegmentReader::SpillSegmentReader(const std::string& path,
-                                       std::uint64_t expectDigest) {
-  Mapping m = mapFile(path);
-  fd_ = m.fd;
-  map_ = m.data;
-  mapLen_ = m.len;
-  if (mapLen_ < kSpillHeaderBytes) {
-    throw SimError("spill segment truncated (no header): " + path);
+// -- reading segments --------------------------------------------------------
+
+FileMap::FileMap(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) throwIo("cannot open spill file", path);
+  struct stat st{};
+  void* p = MAP_FAILED;
+  if (::fstat(fd, &st) == 0) {
+    size_ = static_cast<std::size_t>(st.st_size);
+    // mmap of length 0 is EINVAL; an empty file is simply "no bytes".
+    p = size_ == 0 ? nullptr
+                   : ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
   }
-  if (std::memcmp(map_, kSpillMagic, 8) != 0) {
-    throw SimError("spill segment has wrong magic: " + path);
+  const int e = errno;
+  ::close(fd);
+  errno = e;
+  if (p == MAP_FAILED) throwIo("cannot map spill file", path);
+  data_ = static_cast<const std::byte*>(p);
+}
+
+FileMap::~FileMap() {
+  if (data_ != nullptr) ::munmap(const_cast<std::byte*>(data_), size_);
+}
+
+SegmentBytes::SegmentBytes(const SegmentInfo& seg,
+                           std::uint64_t configDigest) {
+  if (seg.path.empty()) {
+    data_ = seg.data;
+    size_ = static_cast<std::size_t>(seg.bytes);
+    return;
   }
-  const std::uint32_t version = getLE32(map_ + 8);
+  const FileMap& file = file_.emplace(seg.path);
+  const std::byte* head = file.data();
+  if (file.size() < kSpillHeaderBytes) {
+    throw SimError("spill segment truncated (no header): " + seg.path);
+  }
+  if (std::memcmp(head, kSpillMagic, 8) != 0) {
+    throw SimError("spill segment has wrong magic: " + seg.path);
+  }
+  const std::uint32_t version = getLE32(head + 8);
   if (version != kSpillVersion) {
-    throw SimError("spill segment version mismatch in " + path + ": got " +
-                   std::to_string(version) + ", want " +
+    throw SimError("spill segment version mismatch in " + seg.path +
+                   ": got " + std::to_string(version) + ", want " +
                    std::to_string(kSpillVersion));
   }
-  const std::uint64_t digest = getLE64(map_ + 16);
-  if (digest != expectDigest) {
+  if (getLE64(head + 16) != configDigest) {
     throw SimError(
-        "spill segment was written for a different configuration: " + path);
+        "spill segment was written for a different configuration: " +
+        seg.path);
   }
-  records_ = getLE64(map_ + 24);
-  payloadBytes_ = getLE64(map_ + 32);
-  boundSum_ = getLE64(map_ + 40);
-  pos_ = kSpillHeaderBytes;
-  if (payloadBytes_ > mapLen_) {
-    throw SimError("spill segment truncated (payload past end): " + path);
+  // A freshly sealed segment always agrees with its catalogue entry; a
+  // mismatch means the file or the checkpoint manifest was altered after
+  // the seal.
+  if (getLE64(head + 24) != seg.records ||
+      getLE64(head + 32) != seg.payloadBytes ||
+      getLE64(head + 40) != seg.boundSum) {
+    throw SimError(
+        "spill segment header disagrees with its catalogue entry "
+        "(corrupt segment or manifest): " +
+        seg.path);
   }
+  if (seg.payloadBytes > file.size()) {
+    throw SimError("spill segment truncated (payload past end): " +
+                   seg.path);
+  }
+  data_ = head + kSpillHeaderBytes;
+  size_ = file.size() - kSpillHeaderBytes;
 }
 
-SpillSegmentReader::~SpillSegmentReader() {
-  Mapping m{fd_, map_, mapLen_};
-  unmapFile(m);
-}
-
-bool SpillSegmentReader::next(Record& r) {
-  if (read_ == records_) return false;
-  trace::codec::Reader rd{map_, mapLen_, pos_};
+FrontierRecord readRecord(const std::byte* data, std::size_t len,
+                          std::size_t& pos) {
+  trace::codec::Reader rd{data, len, pos};
+  FrontierRecord r;
   r.id = rd.u64();
   r.bound = rd.u32();
-  const std::uint64_t len = rd.u64();
-  if (len > mapLen_ - rd.pos) {
-    throw SimError("spill segment record truncated (blob passes end of file)");
+  const std::uint64_t blobLen = rd.u64();
+  if (blobLen > len - rd.pos) {
+    throw SimError(
+        "frontier record truncated (blob passes the end of its segment)");
   }
-  r.blob = map_ + rd.pos;
-  r.len = static_cast<std::uint32_t>(len);
-  pos_ = rd.pos + static_cast<std::size_t>(len);
-  read_ += 1;
-  return true;
+  r.blob = data + rd.pos;
+  r.len = static_cast<std::uint32_t>(blobLen);
+  pos = rd.pos + static_cast<std::size_t>(blobLen);
+  return r;
+}
+
+void indexSegment(SegmentInfo& seg, std::uint64_t configDigest) {
+  const SegmentBytes bytes(seg, configDigest);
+  seg.marks.clear();
+  std::size_t pos = 0;
+  for (std::uint64_t i = 0; i < seg.records; ++i) {
+    if (i % kMarkStride == 0) seg.marks.push_back(pos);
+    (void)readRecord(bytes.data(), bytes.size(), pos);
+  }
+  seg.bytes = pos;
+}
+
+std::vector<std::pair<std::uint64_t, std::uint64_t>> cutWave(
+    std::uint64_t records, unsigned jobs) {
+  const std::uint64_t size = std::max<std::uint64_t>(
+      records / (std::uint64_t{8} * std::max(1u, jobs)), 64);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
+  for (std::uint64_t begin = 0; begin < records; begin += size) {
+    ranges.emplace_back(begin, std::min(records, begin + size));
+  }
+  return ranges;
 }
 
 // -- VisitedLogWriter / VisitedLogReader -------------------------------------
@@ -303,48 +343,25 @@ std::uint64_t VisitedLogWriter::flush() {
 }
 
 VisitedLogReader::VisitedLogReader(const std::string& path,
-                                   std::uint64_t validBytes) {
-  Mapping m = mapFile(path);
-  fd_ = m.fd;
-  map_ = m.data;
-  mapLen_ = m.len;
-  if (validBytes > mapLen_) {
-    Mapping drop{fd_, map_, mapLen_};
-    unmapFile(drop);
-    fd_ = -1;
-    map_ = nullptr;
+                                   std::uint64_t validBytes)
+    : file_(path) {
+  if (validBytes > file_.size()) {
     throw SimError("visited log shorter than the manifest's valid length: " +
                    path);
   }
-  mapLen_ = static_cast<std::size_t>(validBytes);  // ignore torn tail
-}
-
-VisitedLogReader::~VisitedLogReader() {
-  // mapLen_ was clamped to the valid prefix; unmap wants the original
-  // mapping length, but munmap with a shorter length only unmaps part of
-  // the mapping on some systems — remap bookkeeping keeps it simple: we
-  // mapped st_size bytes, so re-derive it.
-  if (map_ != nullptr || fd_ >= 0) {
-    struct stat st{};
-    std::size_t full = mapLen_;
-    if (fd_ >= 0 && ::fstat(fd_, &st) == 0) {
-      full = static_cast<std::size_t>(st.st_size);
-    }
-    Mapping m{fd_, map_, full};
-    unmapFile(m);
-  }
+  len_ = static_cast<std::size_t>(validBytes);
 }
 
 bool VisitedLogReader::nextExact(std::vector<std::byte>& enc,
                                  std::uint32_t& parent,
                                  std::uint64_t& action) {
-  if (pos_ == mapLen_) return false;
-  trace::codec::Reader rd{map_, mapLen_, pos_};
+  if (pos_ == len_) return false;
+  trace::codec::Reader rd{file_.data(), len_, pos_};
   const std::uint64_t len = rd.u64();
-  if (len > mapLen_ - rd.pos) {
+  if (len > len_ - rd.pos) {
     throw SimError("visited log record truncated (encoding passes valid end)");
   }
-  enc.assign(map_ + rd.pos, map_ + rd.pos + len);
+  enc.assign(file_.data() + rd.pos, file_.data() + rd.pos + len);
   rd.pos += static_cast<std::size_t>(len);
   parent = rd.u32();
   action = rd.u64();
@@ -353,8 +370,8 @@ bool VisitedLogReader::nextExact(std::vector<std::byte>& enc,
 }
 
 bool VisitedLogReader::nextFp(std::uint64_t& fp) {
-  if (pos_ == mapLen_) return false;
-  trace::codec::Reader rd{map_, mapLen_, pos_};
+  if (pos_ == len_) return false;
+  trace::codec::Reader rd{file_.data(), len_, pos_};
   fp = rd.u64();
   pos_ = rd.pos;
   return true;
@@ -393,33 +410,29 @@ void writeBitstateFile(const std::string& path, std::uint64_t configDigest,
 std::vector<std::uint64_t> readBitstateFile(const std::string& path,
                                             std::uint64_t expectDigest,
                                             std::uint32_t& hashesOut) {
-  Mapping m = mapFile(path);
-  struct Closer {
-    Mapping* m;
-    ~Closer() { unmapFile(*m); }
-  } closer{&m};
-  if (m.len < kBloomHeaderBytes + 8) {
+  const FileMap m(path);
+  if (m.size() < kBloomHeaderBytes + 8) {
     throw SimError("bitstate dump truncated (no header): " + path);
   }
-  if (std::memcmp(m.data, kBloomMagic, 8) != 0) {
+  if (std::memcmp(m.data(), kBloomMagic, 8) != 0) {
     throw SimError("bitstate dump has wrong magic: " + path);
   }
-  const std::uint32_t version = getLE32(m.data + 8);
+  const std::uint32_t version = getLE32(m.data() + 8);
   if (version != kSpillVersion) {
     throw SimError("bitstate dump version mismatch: " + path);
   }
-  hashesOut = getLE32(m.data + 12);
-  if (getLE64(m.data + 16) != expectDigest) {
+  hashesOut = getLE32(m.data() + 12);
+  if (getLE64(m.data() + 16) != expectDigest) {
     throw SimError(
         "bitstate dump was written for a different configuration: " + path);
   }
-  const std::uint64_t nWords = getLE64(m.data + kBloomHeaderBytes);
-  if (m.len - kBloomHeaderBytes - 8 < nWords * 8) {
+  const std::uint64_t nWords = getLE64(m.data() + kBloomHeaderBytes);
+  if (m.size() - kBloomHeaderBytes - 8 < nWords * 8) {
     throw SimError("bitstate dump truncated (words past end): " + path);
   }
   std::vector<std::uint64_t> words(static_cast<std::size_t>(nWords));
   for (std::size_t i = 0; i < words.size(); ++i) {
-    words[i] = getLE64(m.data + kBloomHeaderBytes + 8 + i * 8);
+    words[i] = getLE64(m.data() + kBloomHeaderBytes + 8 + i * 8);
   }
   return words;
 }

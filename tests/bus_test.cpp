@@ -134,7 +134,7 @@ TEST(Bus, UpgradeRaceConvertsToBusRdX) {
   bus::BusSystem sys(cfg, trace);
   for (NodeId p = 0; p < cfg.numProcessors; ++p) {
     workload::Program prog;
-    for (int i = 0; i < 20; ++i) {
+    for (std::uint64_t i = 0; i < 20; ++i) {
       prog.steps.push_back(workload::load(0, 0));
       prog.steps.push_back(
           workload::store(0, 0, workload::makeStoreValue(p, i)));
@@ -167,7 +167,7 @@ TEST(Bus, SilentEvictionNeedsNoDeadlockMachinery) {
     sys.setProgram(p, std::move(prog));
   }
   workload::Program writer;
-  for (int i = 0; i < 25; ++i) {
+  for (std::uint64_t i = 0; i < 25; ++i) {
     writer.steps.push_back(workload::store(0, 0, workload::makeStoreValue(2, i)));
     writer.steps.push_back(workload::evict(0));
   }

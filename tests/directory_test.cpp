@@ -31,9 +31,9 @@ class DirectoryTest : public testing::Test {
     return m;
   }
 
-  const Message& only(const Outbox& out, std::size_t expected = 1) {
-    EXPECT_EQ(out.msgs.size(), expected);
-    return out.msgs.front().msg;
+  const Message& only(const Outbox& box, std::size_t expected = 1) {
+    EXPECT_EQ(box.msgs.size(), expected);
+    return box.msgs.front().msg;
   }
 
   trace::Trace trace;

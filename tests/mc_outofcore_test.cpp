@@ -10,11 +10,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/arena.hpp"
 #include "common/expect.hpp"
 #include "mc/model_checker.hpp"
 #include "mc/spill.hpp"
@@ -174,6 +176,89 @@ TEST(Spill, SupersededCheckpointSegmentsAreReclaimed) {
     EXPECT_TRUE(referenced.count(e.path().filename().string()) != 0)
         << "stale file from a superseded checkpoint: " << e.path();
   }
+}
+
+// -- the wave cut -------------------------------------------------------------
+
+constexpr std::uint64_t kCutDigest = 0x5eed;
+
+/// Record i of a synthetic wave: id i, bound i % 7, and a blob of
+/// i % 50 + 1 bytes, each the low byte of i.
+void addCutRecord(mc::SegmentWriter& w, std::uint64_t i) {
+  const std::vector<std::byte> blob(i % 50 + 1,
+                                    static_cast<std::byte>(i & 0xFF));
+  w.add(i, static_cast<std::uint32_t>(i % 7), blob.data(), blob.size());
+}
+
+/// Reading every range the wave is cut into, in range order, must yield
+/// each record exactly once and in frontier order.
+void expectCutCoversTheWave(const mc::Wave& wave, unsigned jobs,
+                            const std::string& label) {
+  std::uint64_t next = 0;
+  for (const auto& [begin, end] : mc::cutWave(wave.records, jobs)) {
+    ASSERT_EQ(begin, next) << label << " jobs=" << jobs;
+    wave.forEach(begin, end, kCutDigest,
+                 [&](const mc::FrontierRecord& r, bool onDisk) {
+                   EXPECT_EQ(onDisk, !wave.segs.front().path.empty());
+                   ASSERT_EQ(r.id, next) << label << " jobs=" << jobs;
+                   EXPECT_EQ(r.bound, next % 7);
+                   ASSERT_EQ(r.len, next % 50 + 1);
+                   EXPECT_EQ(r.blob[r.len - 1],
+                             static_cast<std::byte>(next & 0xFF));
+                   next += 1;
+                 });
+    EXPECT_EQ(next, end) << label << " jobs=" << jobs;
+  }
+  EXPECT_EQ(next, wave.records) << label << " jobs=" << jobs;
+}
+
+// The engine hands out record ranges, not segments: whatever the segment
+// boundaries, in an arena or in files, the ranges cover every record of
+// the wave exactly once and in frontier order.
+TEST(WaveCut, RangesCoverEveryRecordOnceInFrontierOrder) {
+  // Four writers stand for four chunks of the previous wave; small arena
+  // blocks give each several segments, one cursor carries across them
+  // the way a pooled worker's does.
+  constexpr std::uint64_t kChunks[] = {5, 700, 2'000, 1};
+  Arena arena(4096);
+  ArenaRef cursor(arena);
+  mc::Wave inRam;
+  TempDir dir("wave_cut");
+  mc::Wave onDisk;
+  std::uint64_t i = 0;
+  for (std::size_t c = 0; c < std::size(kChunks); ++c) {
+    mc::SegmentWriter ram(cursor);
+    mc::SegmentWriter file(dir.path + "/w1-c" + std::to_string(c),
+                           kCutDigest);
+    for (std::uint64_t k = 0; k < kChunks[c]; ++k, ++i) {
+      addCutRecord(ram, i);
+      addCutRecord(file, i);
+    }
+    for (mc::SegmentInfo& s : ram.finish()) inRam.add(std::move(s));
+    for (mc::SegmentInfo& s : file.finish()) onDisk.add(std::move(s));
+  }
+  ASSERT_EQ(inRam.records, i);
+  ASSERT_EQ(onDisk.records, i);
+  EXPECT_GT(inRam.segs.size(), 2 * std::size(kChunks))
+      << "arena blocks should split the chunks into more segments";
+  EXPECT_EQ(onDisk.segs.size(), std::size(kChunks));
+  for (const unsigned jobs : {1u, 2u, 3u, 4u, 8u}) {
+    expectCutCoversTheWave(inRam, jobs, "arena");
+    expectCutCoversTheWave(onDisk, jobs, "files");
+  }
+}
+
+// 3x1's peak wave (14,601 records) written by one chunk is one segment;
+// it still becomes enough ranges to keep four workers busy.
+TEST(WaveCut, OneSegmentPeakWaveIsSplitAcrossWorkers) {
+  TempDir dir("wave_cut_peak");
+  mc::SegmentWriter writer(dir.path + "/w1-c0", kCutDigest);
+  for (std::uint64_t i = 0; i < 14'601; ++i) addCutRecord(writer, i);
+  mc::Wave wave;
+  for (mc::SegmentInfo& s : writer.finish()) wave.add(std::move(s));
+  ASSERT_EQ(wave.segs.size(), 1u);
+  EXPECT_GE(mc::cutWave(wave.records, 4).size(), 4u);
+  expectCutCoversTheWave(wave, 4, "peak wave");
 }
 
 // -- checkpoint / resume ------------------------------------------------------

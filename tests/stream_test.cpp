@@ -98,8 +98,11 @@ TEST(Stream, StatsCountersMatchTheRecordedTrace) {
 }
 
 TEST(Stream, CoverageObserverMatchesBatchCoverageIncludingConversions) {
-  // Seeds chosen to reach writeback races (transactions 13/14), which are
-  // recorded via onTxnConverted — the online observer must rebucket.
+  // Seeds chosen to reach writeback races (transactions 13/14).  Live, the
+  // observer sees each one as onTxnConverted and must rebucket; the batch
+  // tally replays the recorded trace through an observer of its own, where
+  // the serialization records already carry the converted kinds and no
+  // conversion fires.
   for (const std::uint64_t seed : {1ULL, 4ULL, 9ULL, 15ULL}) {
     const LiveRun r = contendedRun(seed);
     trace::Trace trace;

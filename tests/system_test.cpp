@@ -68,7 +68,7 @@ TEST(System, NacksAreRetriedAfterTheConfiguredDelay) {
   sim::System system(cfg, trace);
   for (NodeId p = 0; p < cfg.numProcessors; ++p) {
     workload::Program prog;
-    for (int i = 0; i < 40; ++i) {
+    for (std::uint64_t i = 0; i < 40; ++i) {
       prog.steps.push_back(workload::store(0, 0, workload::makeStoreValue(p, i)));
       prog.steps.push_back(workload::evict(0));
     }
