@@ -10,13 +10,11 @@
 #include "campaign/minimize.hpp"
 #include "common/expect.hpp"
 #include "common/rng.hpp"
-#include "mc/model_checker.hpp"
 #include "proto/observer.hpp"
 #include "sim/system.hpp"
 #include "tardis/tardis_system.hpp"
 #include "trace/serialize.hpp"
 #include "trace/trace.hpp"
-#include "verify/checkers.hpp"
 #include "verify/stream.hpp"
 
 namespace lcdc::campaign {
@@ -233,9 +231,7 @@ RunResult runRetained(WorkerEngine& eng, std::optional<Sys>& slot,
   return result;
 }
 
-/// Set programs, run, and harvest the backend-specific counters.  The two
-/// runCase paths share this so streaming and recorded outcomes cannot
-/// diverge in anything but how the events are observed.
+/// Set programs, run, and harvest the backend-specific counters.
 RunResult executeCase(WorkerEngine& eng, const CaseSpec& spec,
                       std::uint64_t maxEvents, CaseOutcome& out) {
   if (spec.sys.protocol == ProtocolKind::Bus) {
@@ -274,12 +270,12 @@ void harvestLeaseStats(const WorkerEngine& eng, const CaseSpec& spec,
   out.coverage.leaseExpiries += eng.tardisSystem->stats().leaseExpiries;
 }
 
-/// The streaming path: the checkers and the coverage tally observe the run
-/// online through a TeeSink; nothing is recorded unless the caller asked
-/// for a trace.  Per-run memory is the checkers' bounded state, not the
-/// event count.
-CaseOutcome runCaseStreaming(const CaseSpec& spec, std::uint64_t maxEvents,
-                             trace::Trace* traceOut) {
+}  // namespace
+
+/// The checkers and the coverage tally observe the run online through a
+/// TeeSink; nothing is recorded unless the caller asked for a trace.
+CaseOutcome runCase(const CaseSpec& spec, std::uint64_t maxEvents,
+                    trace::Trace* traceOut) {
   WorkerEngine& eng = workerEngine();
   CoverageObserver cov;
   const verify::VerifyConfig vc = proto::verifyConfigFor(spec.sys);
@@ -333,58 +329,6 @@ CaseOutcome runCaseStreaming(const CaseSpec& spec, std::uint64_t maxEvents,
   return out;
 }
 
-/// The recorded path: run to a trace, then batch-check.  Kept for A/B
-/// comparison (--no-streaming, the equivalence tests, the overhead bench);
-/// the batch checkers replay through the same streaming cores, so the two
-/// paths cannot disagree.
-CaseOutcome runCaseRecorded(const CaseSpec& spec, std::uint64_t maxEvents,
-                            trace::Trace* traceOut) {
-  WorkerEngine& eng = workerEngine();
-  trace::Trace localTrace;
-  trace::Trace& trace = traceOut ? *traceOut : localTrace;
-  trace.clear();
-  eng.tee.clear();
-  eng.tee.attach(trace);
-
-  CaseOutcome out;
-  try {
-    const RunResult result = executeCase(eng, spec, maxEvents, out);
-    out.opsBound = result.opsBound;
-    out.txnsSerialized = trace.serializations().size();
-    out.coverage.record(trace);
-    harvestLeaseStats(eng, spec, out);
-    if (!result.ok()) {
-      out.signature = outcomeSignature(result);
-      out.detail = result.detail;
-      return out;
-    }
-  } catch (const ProtocolError& e) {
-    out.txnsSerialized = trace.serializations().size();
-    out.coverage.record(trace);
-    harvestLeaseStats(eng, spec, out);
-    out.signature = "invariant";
-    out.detail = e.what();
-    return out;
-  }
-
-  const verify::CheckReport report =
-      verify::checkAll(trace, proto::verifyConfigFor(spec.sys));
-  out.checkerFirings = report.countsByCheck();
-  if (!report.ok()) {
-    out.signature = "checker:" + report.primaryCheck();
-    out.detail = report.violations.front().detail;
-  }
-  return out;
-}
-
-}  // namespace
-
-CaseOutcome runCase(const CaseSpec& spec, std::uint64_t maxEvents,
-                    trace::Trace* traceOut, bool streaming) {
-  return streaming ? runCaseStreaming(spec, maxEvents, traceOut)
-                   : runCaseRecorded(spec, maxEvents, traceOut);
-}
-
 namespace {
 
 std::string caseFileStem(std::uint64_t index) {
@@ -432,7 +376,7 @@ Failure finalizeFailure(const CampaignConfig& cfg, std::uint64_t index,
 
   if (!cfg.outDir.empty()) {
     trace::Trace original;
-    (void)runCase(spec, cfg.maxEventsPerRun, &original, cfg.streaming);
+    (void)runCase(spec, cfg.maxEventsPerRun, &original);
     f.tracePath = archiveTrace(
         original, cfg.outDir, stem, cfg, index, spec, signature,
         /*complete=*/signature.rfind("outcome:", 0) != 0 &&
@@ -449,7 +393,7 @@ Failure finalizeFailure(const CampaignConfig& cfg, std::uint64_t index,
     if (!cfg.outDir.empty()) {
       trace::Trace minTrace;
       const CaseOutcome minOutcome =
-          runCase(mr.spec, cfg.maxEventsPerRun, &minTrace, cfg.streaming);
+          runCase(mr.spec, cfg.maxEventsPerRun, &minTrace);
       LCDC_EXPECT(minOutcome.signature == signature,
                   "minimized case no longer reproduces");
       f.minimizedPath = archiveTrace(
@@ -470,51 +414,6 @@ CampaignResult run(const CampaignConfig& cfg) {
 
   CampaignResult result;
   result.protocol = cfg.protocol;
-
-  // Optional exhaustive stage on a small configuration of the same
-  // protocol variant.  Runs before the fan-out: if the protocol is broken
-  // at (mcProcs x mcBlocks), the campaign should say so even when no
-  // sampled schedule happens to trip it.  All counts it reports are
-  // wave-deterministic, so the report stays byte-identical across --jobs.
-  if (cfg.mcStage) {
-    mc::McConfig mcCfg;
-    mcCfg.protocol = cfg.protocol;
-    mcCfg.numProcessors = cfg.mcProcs;
-    mcCfg.numBlocks = cfg.mcBlocks;
-    mcCfg.proto.mutant = cfg.mutant;
-    mcCfg.maxStates = cfg.mcMaxStates;
-    mcCfg.jobs = cfg.jobs;
-    // The reductions and data modelling are directory features.
-    const bool dir = cfg.protocol == ProtocolKind::Directory;
-    mcCfg.symmetry = dir;
-    mcCfg.por = dir;
-    mcCfg.modelData = dir;
-    mcCfg.visited = cfg.mcVisited;
-    // Bitstate tracks no discovery ids, which the ample-set proviso needs;
-    // `mc::explore` rejects the combination.
-    if (cfg.mcVisited == VisitedMode::Bitstate) mcCfg.por = false;
-    mcCfg.memLimitMb = cfg.mcMemLimitMb;
-    mcCfg.spillDir = cfg.mcSpillDir;
-    mcCfg.checkpointDir = cfg.mcCheckpointDir;
-    mcCfg.resumeDir = cfg.mcResumeDir;
-    const auto mcT0 = std::chrono::steady_clock::now();
-    const mc::McResult mcRes = mc::explore(mcCfg);
-    result.mcSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - mcT0)
-            .count();
-    result.mcStage.ran = true;
-    result.mcStage.ok = mcRes.ok();
-    result.mcStage.deadlock = mcRes.deadlockFound;
-    result.mcStage.hitStateLimit = mcRes.hitStateLimit;
-    result.mcStage.memLimitHit = mcRes.memLimitHit;
-    result.mcStage.states = mcRes.statesExplored;
-    result.mcStage.violations = mcRes.violations.size();
-    result.mcStage.visited = mcCfg.visited;
-    result.mcStage.omissionBound = mcRes.omissionBound;
-    result.mcStage.storedEncBytes = mcRes.perf.storedEncodingBytes;
-    result.mcStage.procs = cfg.mcProcs;
-    result.mcStage.blocks = cfg.mcBlocks;
-  }
 
   ThreadPool pool(cfg.jobs);
 
@@ -539,8 +438,7 @@ CampaignResult run(const CampaignConfig& cfg) {
         // are reused across the thousands of cases this thread derives.
         thread_local CaseSpec spec;
         deriveCaseInto(cfg, i, spec);
-        outcomes[i] = runCase(spec, cfg.maxEventsPerRun,
-                              /*traceOut=*/nullptr, cfg.streaming);
+        outcomes[i] = runCase(spec, cfg.maxEventsPerRun);
       });
     }
     pool.wait();
@@ -596,26 +494,6 @@ std::string CampaignResult::report() const {
     for (const auto& [check, n] : checkerFirings) {
       os << "  " << check << ": " << n << '\n';
     }
-  }
-  if (mcStage.ran) {
-    os << "mc stage: (" << static_cast<unsigned>(mcStage.procs) << " procs x "
-       << mcStage.blocks << " blocks) "
-       << (mcStage.ok ? "clean" : (mcStage.deadlock ? "DEADLOCK" : "VIOLATED"))
-       << ", states=" << mcStage.states;
-    if (mcStage.hitStateLimit) {
-      // On a capped run the discovered-state set depends on frontier
-      // order, so the encoding-byte total is not deterministic; omit it.
-      os << " (state limit hit)";
-    } else if (mcStage.states != 0) {
-      os << ", enc-bytes/state="
-         << mcStage.storedEncBytes / mcStage.states;
-    }
-    if (mcStage.memLimitHit) os << " (mem limit hit)";
-    if (mcStage.visited != VisitedMode::Exact) {
-      os << ", visited=" << toString(mcStage.visited) << ", P(omission)<="
-         << mcStage.omissionBound;
-    }
-    os << '\n';
   }
   os << "failures: " << failures.size() << '\n';
   for (const Failure& f : failures) {

@@ -5,8 +5,8 @@
 // be verified in time linear in its trace, where exhaustive model checking
 // explodes.  This module industrialises that claim: it fans out N seeded
 // sub-runs across a work-stealing thread pool, each on the PCT network
-// schedule (net/network.hpp), runs the full Section 3 checker suite on
-// every trace, and aggregates
+// schedule (net/network.hpp), runs the full Section 3 checker suite online
+// over every execution, and aggregates
 //
 //   (a) coverage — which of the 14 transaction cases, NACK paths,
 //       Put-Shared/deadlock extension paths and store-buffering rules the
@@ -42,7 +42,7 @@ class Trace;
 namespace lcdc::campaign {
 
 struct CampaignConfig {
-  /// Which coherence backend every sub-run (and the mc stage) drives.
+  /// Which coherence backend every sub-run drives.
   /// Tardis campaigns derive lease lengths per seed, pin storeBufferDepth
   /// to 0 (unsupported there) and add the lease-churn family to the mixed
   /// rotation; the directory derivation stream is untouched, so existing
@@ -71,30 +71,6 @@ struct CampaignConfig {
   std::uint64_t maxEventsPerRun = 5'000'000;
   /// Probe budget for the minimizer, per failure.
   std::uint64_t minimizeAttempts = 400;
-  /// Verify online through the streaming pipeline (TeeSink ->
-  /// {CoverageObserver, StreamCheckerSet}) with no trace recording —
-  /// per-run memory O(blocks + processors) instead of O(events).  Failing
-  /// seeds are re-executed with a recorder attached, so archiving and
-  /// minimization see full traces either way.  Signatures and reports are
-  /// identical in both modes (the batch checkers replay through the same
-  /// streaming cores).
-  bool streaming = true;
-  /// Exhaustively model-check a small configuration of the campaign's
-  /// protocol variant (same mutant) before the seed fan-out — the
-  /// complementary verification world: MC proves the small configuration,
-  /// the Lamport checkers scale to the big ones.
-  bool mcStage = false;
-  NodeId mcProcs = 2;
-  BlockId mcBlocks = 1;
-  std::uint64_t mcMaxStates = 400'000;
-  /// mc-stage out-of-core knobs, forwarded to `mc::explore` (DESIGN.md
-  /// §14): visited-set mode, tracked-memory limit in MiB (0 = unlimited),
-  /// and the spill / checkpoint / resume directories.
-  VisitedMode mcVisited = VisitedMode::Exact;
-  std::uint64_t mcMemLimitMb = 0;
-  std::string mcSpillDir;
-  std::string mcCheckpointDir;
-  std::string mcResumeDir;
 };
 
 /// One fully derived sub-run: everything needed to re-execute it exactly.
@@ -137,16 +113,14 @@ struct CaseOutcome {
   [[nodiscard]] bool clean() const { return signature.empty(); }
 };
 
-/// Execute one case and run the full checker suite over it.  With
-/// `streaming` (the default) the checkers observe the run online and no
-/// trace is kept; otherwise the run is recorded and batch-checked.  Both
-/// paths produce identical outcomes.  When `traceOut` is non-null a
-/// recorder is attached in either mode and the trace is left there (also
-/// for failing runs — a deadlocked run leaves its truncated trace).
+/// Execute one case with the full checker suite observing it online
+/// (streaming, so per-run memory is the checkers' bounded state).  When
+/// `traceOut` is non-null a recorder is attached too and the trace is left
+/// there (also for failing runs — a deadlocked run leaves its truncated
+/// trace).
 [[nodiscard]] CaseOutcome runCase(const CaseSpec& spec,
                                   std::uint64_t maxEvents,
-                                  trace::Trace* traceOut = nullptr,
-                                  bool streaming = true);
+                                  trace::Trace* traceOut = nullptr);
 
 /// One failing sub-run, with its minimization result when enabled.
 struct Failure {
@@ -164,42 +138,11 @@ struct Failure {
   std::string minimizedPath;   ///< archived minimal reproducer trace
 };
 
-/// Verdict of the optional model-checking stage.  Violation details are
-/// deliberately not kept here: under symmetry reduction the representative
-/// state (and hence the node ids in the text) can vary across job counts,
-/// and this struct feeds the byte-identical report guarantee.  Run
-/// `lcdc mc` directly for diagnostics.
-struct McStageResult {
-  bool ran = false;
-  bool ok = true;
-  bool deadlock = false;
-  bool hitStateLimit = false;
-  /// Stage stopped at the tracked-memory limit (counts up to the stop are
-  /// exact and wave-deterministic, so the report may still print them).
-  bool memLimitHit = false;
-  std::uint64_t states = 0;
-  std::uint64_t violations = 0;
-  /// Visited-set mode the stage ran under (exact unless --mc-visited).
-  VisitedMode visited = VisitedMode::Exact;
-  /// Omission-probability bound for lossy visited modes (0 for exact).
-  /// Deterministic for a fixed configuration — the stored-state set and
-  /// Bloom fill are wave-deterministic — so report() may print it.
-  double omissionBound = 0.0;
-  /// Canonical-encoding bytes stored for distinct states.  Deterministic
-  /// for a given configuration (the state set is), unlike arena or RSS
-  /// numbers, so the report may print it; scheduling-dependent throughput
-  /// stays in the timing block.
-  std::uint64_t storedEncBytes = 0;
-  NodeId procs = 0;
-  BlockId blocks = 0;
-};
-
 struct CampaignResult {
   /// Backend the campaign drove; selects the reachable-case target the
   /// coverage table is reported against.
   ProtocolKind protocol = ProtocolKind::Directory;
   Coverage coverage;
-  McStageResult mcStage;
   std::vector<Failure> failures;  ///< ordered by sub-run index
   std::uint64_t seedsRun = 0;
   std::uint64_t opsBound = 0;
@@ -209,12 +152,8 @@ struct CampaignResult {
   PoolStats pool;
   sim::SimPerfCounters perf;  ///< aggregated over every sub-run
   double seconds = 0;
-  /// Wall-clock of the optional mc stage (0 when it did not run).
-  double mcSeconds = 0;
 
-  [[nodiscard]] bool ok() const {
-    return failures.empty() && (!mcStage.ran || mcStage.ok);
-  }
+  [[nodiscard]] bool ok() const { return failures.empty(); }
   /// Deterministic text report (coverage table, per-claim firings,
   /// failure list).  Contains no timing, thread counts or paths — equal
   /// bytes for equal (masterSeed, seeds, workload, mutant) regardless of

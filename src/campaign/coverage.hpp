@@ -108,13 +108,13 @@ struct Coverage {
       ProtocolKind k = ProtocolKind::Directory) const;
 };
 
-/// The coverage tally, accumulated as a pipeline stage — the campaign's
-/// streaming path needs no trace at all; Coverage::record() replays a
-/// recorded trace through one.  The one subtlety is write-back conversion
-/// (cases 13/14a): the trace recorder rewrites the serialization record in
-/// place, so a replay sees post-conversion kinds; live we observe the
-/// original onSerialize and rebucket on onTxnConverted, keeping a bounded
-/// window of recent transaction kinds (conversions only ever hit in-flight
+/// The coverage tally, accumulated as a pipeline stage — the campaign
+/// needs no trace at all; Coverage::record() replays a recorded trace
+/// through one.  The one subtlety is write-back conversion (cases 13/14a):
+/// the trace recorder rewrites the serialization record in place, so a
+/// replay sees post-conversion kinds; live we observe the original
+/// onSerialize and rebucket on onTxnConverted, keeping a bounded window of
+/// recent transaction kinds (conversions only ever hit in-flight
 /// transactions, which are young).
 class CoverageObserver final : public proto::ObserverAdapter {
  public:

@@ -103,15 +103,6 @@ const char* toString(Mutant m) {
   return "mutant(?)";
 }
 
-const char* toString(VisitedMode m) {
-  switch (m) {
-    case VisitedMode::Exact: return "exact";
-    case VisitedMode::Compact: return "compact";
-    case VisitedMode::Bitstate: return "bitstate";
-  }
-  return "?";
-}
-
 const char* toString(ProtocolKind k) {
   switch (k) {
     case ProtocolKind::Directory: return "dir";

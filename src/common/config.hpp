@@ -85,26 +85,6 @@ inline constexpr Mutant kAllMutants[] = {Mutant::None,
                                          Mutant::SkipWbClockAbsorb,
                                          Mutant::StaleWbForward};
 
-/// How the model checker remembers visited states (DESIGN.md §14).  Kept
-/// here, not in the mc headers, so the campaign's config can name it.
-enum class VisitedMode : std::uint8_t {
-  /// Lossless: 64-bit fingerprint plus the full canonical encoding; a
-  /// fingerprint hit falls back to byte equality.  The only mode whose
-  /// counts are exhaustive; omission bound 0.
-  Exact = 0,
-  /// Hash compaction: only the 64-bit fingerprint is kept, a hit is
-  /// trusted.  ~12 B/state; expected omissions n(n-1)/2 / 2^64.
-  Compact,
-  /// Holzmann bitstate (supertrace): k bits per state in a Bloom array
-  /// sized by `bitstateMb`.  O(1) bits/state; omission bound
-  /// insertCalls * (ones/m)^k at the end-of-run fill ratio.  Tracks no
-  /// state ids, so counterexamples carry no schedule and POR (whose
-  /// proviso needs discovery ids) is rejected.
-  Bitstate,
-};
-
-[[nodiscard]] const char* toString(VisitedMode m);
-
 /// Which coherence backend a SystemConfig drives.  The backend registry
 /// (proto::backendFor) maps each value to a proto::CoherenceBackend that
 /// builds the system and the matching VerifyConfig.

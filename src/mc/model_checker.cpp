@@ -1260,6 +1260,15 @@ McResult ParallelExplorer<Model>::run() {
 
 }  // namespace
 
+const char* toString(VisitedMode m) {
+  switch (m) {
+    case VisitedMode::Exact: return "exact";
+    case VisitedMode::Compact: return "compact";
+    case VisitedMode::Bitstate: return "bitstate";
+  }
+  return "?";
+}
+
 std::string toString(const Action& a) {
   std::ostringstream os;
   switch (a.kind) {

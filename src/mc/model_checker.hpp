@@ -69,8 +69,24 @@
 
 namespace lcdc::mc {
 
-/// How visited states are remembered (common/config.hpp, DESIGN.md §14).
-using lcdc::VisitedMode;
+/// How the model checker remembers visited states (DESIGN.md §14).
+enum class VisitedMode : std::uint8_t {
+  /// Lossless: 64-bit fingerprint plus the full canonical encoding; a
+  /// fingerprint hit falls back to byte equality.  The only mode whose
+  /// counts are exhaustive; omission bound 0.
+  Exact = 0,
+  /// Hash compaction: only the 64-bit fingerprint is kept, a hit is
+  /// trusted.  ~12 B/state; expected omissions n(n-1)/2 / 2^64.
+  Compact,
+  /// Holzmann bitstate (supertrace): k bits per state in a Bloom array
+  /// sized by `bitstateMb`.  O(1) bits/state; omission bound
+  /// insertCalls * (ones/m)^k at the end-of-run fill ratio.  Tracks no
+  /// state ids, so counterexamples carry no schedule and POR (whose
+  /// proviso needs discovery ids) is rejected.
+  Bitstate,
+};
+
+[[nodiscard]] const char* toString(VisitedMode m);
 
 struct McConfig {
   NodeId numProcessors = 2;

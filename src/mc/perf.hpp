@@ -1,5 +1,5 @@
 // Instrumentation counters for the binary exploration core (`lcdc mc
-// --perf`, campaign mc-stage reports, bench S12).
+// --perf`, bench S12).
 //
 // Byte/call counters and the probe histogram are always collected (they
 // are a handful of adds per state).  Nanosecond timers are collected only

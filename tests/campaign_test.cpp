@@ -129,36 +129,6 @@ TEST(Campaign, ReportIsByteIdenticalAcrossJobCounts) {
   EXPECT_EQ(b1.report(), b3.report());
 }
 
-TEST(Campaign, McStageReportsAndStaysByteIdenticalAcrossJobs) {
-  // The optional exhaustive stage joins the determinism contract: its
-  // verdict line in the report is jobs-invariant (it deliberately omits
-  // violation text, whose symmetry representative can race).
-  campaign::CampaignConfig cfg;
-  cfg.masterSeed = 3;
-  cfg.seeds = 4;
-  cfg.minimize = false;
-  cfg.mcStage = true;
-  cfg.jobs = 1;
-  const campaign::CampaignResult a = campaign::run(cfg);
-  cfg.jobs = 4;
-  const campaign::CampaignResult b = campaign::run(cfg);
-  EXPECT_TRUE(a.mcStage.ran);
-  EXPECT_TRUE(a.mcStage.ok);
-  EXPECT_EQ(a.mcStage.states, b.mcStage.states);
-  EXPECT_EQ(a.report(), b.report());
-  EXPECT_NE(a.report().find("mc stage:"), std::string::npos);
-
-  // A mutant campaign fails at the MC stage even when every seeded run is
-  // clean — the exhaustive stage sees schedules the sweep missed.
-  campaign::CampaignConfig bad = cfg;
-  bad.mutant = Mutant::SkipInvAckWait;
-  bad.seeds = 1;
-  const campaign::CampaignResult m = campaign::run(bad);
-  EXPECT_TRUE(m.mcStage.ran);
-  EXPECT_FALSE(m.mcStage.ok);
-  EXPECT_FALSE(m.ok());
-}
-
 TEST(Campaign, UntilCoverageStopsAtAWaveBoundaryDeterministically) {
   campaign::CampaignConfig cfg;
   cfg.masterSeed = 3;

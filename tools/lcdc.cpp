@@ -36,11 +36,13 @@
 #include <chrono>
 #include <csignal>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <sys/resource.h>
@@ -95,21 +97,31 @@ struct Args {
   std::map<std::string, std::string> kv;
   std::vector<std::string> flags;
 
-  [[nodiscard]] std::uint64_t num(const std::string& key,
-                                  std::uint64_t fallback) const {
+  /// `--key` as a T no smaller than `lo`: a value that is malformed or
+  /// outside [lo, max of T] is refused, never wrapped.
+  template <class T = std::uint64_t>
+  [[nodiscard]] T num(const std::string& key,
+                      std::type_identity_t<T> fallback,
+                      std::type_identity_t<T> lo = 0) const {
     const auto it = kv.find(key);
     if (it == kv.end()) return fallback;
+    static_assert(std::is_unsigned_v<T>);
+    const std::string& text = it->second;
+    constexpr std::uint64_t hi = std::numeric_limits<T>::max();
+    std::size_t pos = 0;
+    std::uint64_t value = 0;
     try {
-      std::size_t pos = 0;
-      const std::uint64_t value = std::stoull(it->second, &pos);
-      if (pos != it->second.size() || it->second.front() == '-') {
-        throw std::invalid_argument(it->second);
-      }
-      return value;
+      value = std::stoull(text, &pos);
     } catch (const std::exception&) {
-      throw UsageError("--" + key + " expects a non-negative integer, got '" +
-                       it->second + "'");
+      pos = 0;
     }
+    if (pos == 0 || pos != text.size() || text.front() == '-' || value < lo ||
+        value > hi) {
+      throw UsageError("--" + key + " expects an integer in [" +
+                       std::to_string(lo) + ", " + std::to_string(hi) +
+                       "], got '" + text + "'");
+    }
+    return static_cast<T>(value);
   }
   [[nodiscard]] std::string str(const std::string& key,
                                 const std::string& fallback) const {
@@ -186,6 +198,15 @@ mc::VisitedMode parseVisitedMode(const std::string& name) {
                    "'");
 }
 
+/// `--model sc|tso` of `run` and `verify`: true for TSO.
+bool parseTso(const Args& args) {
+  const std::string model = args.str("model", "sc");
+  if (model != "sc" && model != "tso") {
+    throw UsageError("unknown model: " + model + " (sc|tso)");
+  }
+  return model == "tso";
+}
+
 /// Process peak RSS from getrusage, as `lcdc mc --perf` reports it.
 std::uint64_t peakRssBytes() {
   rusage ru{};
@@ -206,47 +227,38 @@ int reportAndExit(const verify::CheckReport& report, bool quiet) {
 }
 
 int cmdRun(const Args& args) {
-  const NodeId procs = static_cast<NodeId>(args.num("procs", 8));
+  const auto procs = args.num<NodeId>("procs", 8, 1);
   const std::string workloadName = args.str("workload", "uniform");
 
   workload::WorkloadConfig w;
   w.numProcessors = procs;
-  w.numBlocks = static_cast<BlockId>(args.num("blocks", 64));
-  w.wordsPerBlock = static_cast<WordIdx>(args.num("words", 4));
+  w.numBlocks = args.num<BlockId>("blocks", 64, 1);
+  w.wordsPerBlock = args.num<WordIdx>("words", 4, 1);
   w.opsPerProcessor = args.num("ops", 2000);
-  w.storePercent = static_cast<std::uint32_t>(args.num("store-pct", 35));
-  w.evictPercent = static_cast<std::uint32_t>(args.num("evict-pct", 6));
+  w.storePercent = args.num<std::uint32_t>("store-pct", 35);
+  w.evictPercent = args.num<std::uint32_t>("evict-pct", 6);
   w.seed = args.num("seed", 1);
   auto programs = workload::make(parseWorkload(workloadName), w);
   if (args.kv.contains("prefetch")) {
     programs = workload::addPrefetchHints(
         std::move(programs), /*lookahead=*/8,
-        static_cast<std::uint32_t>(args.num("prefetch", 25)), w.seed);
+        args.num<std::uint32_t>("prefetch", 25), w.seed);
   }
 
-  const std::string model = args.str("model", "sc");
-  if (model != "sc" && model != "tso") {
-    throw UsageError("unknown model: " + model + " (sc|tso)");
-  }
-  // --streaming verifies online through the observer pipeline; --no-trace
-  // additionally drops the recorder, so memory stays O(blocks + procs).
-  const bool noTrace = args.has("no-trace");
-  const bool streaming = args.has("streaming") || noTrace;
-  if (noTrace && args.kv.contains("trace")) {
-    throw UsageError("--no-trace conflicts with --trace FILE");
-  }
+  const bool tso = parseTso(args);
   const std::string traceFormat = args.str("trace-format", "text");
   if (traceFormat != "text" && traceFormat != "binary") {
     throw UsageError("unknown trace format: " + traceFormat +
                      " (text|binary)");
   }
-  const bool keepTrace = !streaming || args.kv.contains("trace");
+  const auto tracePath = args.kv.find("trace");
 
+  // The checkers always verify online; a recorder rides along only when the
+  // trace is to be written.
   trace::Trace trace;
   verify::StatsObserver stats;
-  std::optional<verify::StreamCheckerSet> checkers;
   proto::TeeSink tee;
-  if (keepTrace) tee.attach(trace);
+  if (tracePath != args.kv.end()) tee.attach(trace);
   tee.attach(stats);
 
   // --perf: wall-clock + hot-loop counters, printed after the deterministic
@@ -264,20 +276,18 @@ int cmdRun(const Args& args) {
   cfg.protocol = protocol;
   cfg.numProcessors = procs;
   cfg.numDirectories =
-      static_cast<NodeId>(args.num("dirs", std::max<NodeId>(1, procs / 2)));
+      args.num<NodeId>("dirs", std::max<NodeId>(1, procs / 2), 1);
   cfg.numBlocks = w.numBlocks;
   cfg.proto.wordsPerBlock = w.wordsPerBlock;
-  cfg.cacheCapacity = static_cast<std::uint32_t>(args.num("capacity", 0));
+  cfg.cacheCapacity = args.num<std::uint32_t>("capacity", 0);
   cfg.minLatency = args.num("min-latency", 1);
   cfg.maxLatency = args.num("max-latency", 40);
   cfg.busSnoopDelayMax = args.num("snoop-delay", 16);
   cfg.seed = w.seed;
   cfg.proto.putSharedEnabled = !args.has("no-putshared");
   cfg.proto.mutant = parseMutant(args.str("mutant", "none"));
-  cfg.proto.leaseLength =
-      static_cast<std::uint32_t>(args.num("lease", 16));
-  cfg.storeBufferDepth =
-      static_cast<std::uint32_t>(args.num("store-buffer", 0));
+  cfg.proto.leaseLength = args.num<std::uint32_t>("lease", 16);
+  cfg.storeBufferDepth = args.num<std::uint32_t>("store-buffer", 0);
 
   verify::VerifyConfig vc;
   std::unique_ptr<proto::BackendSystem> sys;
@@ -289,11 +299,9 @@ int cmdRun(const Args& args) {
     // invocation, not the input, is at fault.
     throw UsageError(e.what());
   }
-  if (model == "tso") vc.tso = true;
-  if (streaming) {
-    checkers.emplace(vc);
-    tee.attach(*checkers);
-  }
+  if (tso) vc.tso = true;
+  verify::StreamCheckerSet checkers(vc);
+  tee.attach(checkers);
   for (NodeId p = 0; p < procs; ++p) sys->setProgram(p, programs[p]);
   const auto t0 = std::chrono::steady_clock::now();
   const RunResult r = sys->run();
@@ -306,11 +314,8 @@ int cmdRun(const Args& args) {
     perfCounters->note(r.eventsProcessed, r.opsBound, nanos,
                        sys->network()->queueStats());
   }
-  const std::string outcome = toString(r.outcome);
-  const std::uint64_t opsBound = r.opsBound;
-  const bool runOk = r.ok();
 
-  std::cout << "simulation: " << outcome << " — " << opsBound
+  std::cout << "simulation: " << toString(r.outcome) << " — " << r.opsBound
             << " operations, " << stats.stats().serializations
             << " transactions\n";
   sys->printStats(std::cout);
@@ -319,26 +324,20 @@ int cmdRun(const Args& args) {
     std::cout << "sim perf: (--perf needs a backend with a point-to-point "
                  "network; the bus is a centralized medium)\n";
   }
-  if (const auto it = args.kv.find("trace"); it != args.kv.end()) {
+  if (tracePath != args.kv.end()) {
     if (traceFormat == "binary") {
-      trace::saveFileBinary(trace, it->second);
+      trace::saveFileBinary(trace, tracePath->second);
     } else {
-      trace::saveFile(trace, it->second);
+      trace::saveFile(trace, tracePath->second);
     }
-    std::cout << "trace written to " << it->second << " (" << traceFormat
-              << ")\n";
+    std::cout << "trace written to " << tracePath->second << " ("
+              << traceFormat << ")\n";
   }
-  if (!runOk) return kExitSimFailed;
+  if (!r.ok()) return kExitSimFailed;
   if (vc.tso) std::cout << "(verifying against TSO)\n";
-  int rc = kExitOk;
-  if (streaming) {
-    checkers->finish();
-    std::cout << "checker state: " << checkers->memoryFootprint()
-              << " bytes (streaming)\n";
-    rc = reportAndExit(checkers->report(), args.has("quiet"));
-  } else {
-    rc = reportAndExit(verify::checkAll(trace, vc), args.has("quiet"));
-  }
+  checkers.finish();
+  std::cout << "checker state: " << checkers.memoryFootprint() << " bytes\n";
+  const int rc = reportAndExit(checkers.report(), args.has("quiet"));
   // Last, so the peak covers verification too.
   if (perf) std::cout << "perf: process peak RSS " << peakRssBytes() << " B\n";
   return rc;
@@ -347,10 +346,10 @@ int cmdRun(const Args& args) {
 int cmdVerify(const Args& args) {
   const auto it = args.kv.find("trace");
   if (it == args.kv.end()) throw UsageError("verify requires --trace FILE");
-  const trace::Trace trace = trace::loadFile(it->second);
-  verify::VerifyConfig cfg{static_cast<NodeId>(args.num("procs", 8))};
+  verify::VerifyConfig cfg{args.num<NodeId>("procs", 8, 1)};
   cfg.expectComplete = !args.has("partial");
-  cfg.tso = args.str("model", "sc") == "tso";
+  cfg.tso = parseTso(args);
+  const trace::Trace trace = trace::loadFile(it->second);
   std::cout << "loaded " << trace.operations().size() << " operations, "
             << trace.serializations().size() << " transactions\n";
   return reportAndExit(verify::checkAll(trace, cfg), args.has("quiet"));
@@ -404,14 +403,12 @@ int cmdMc(const Args& args) {
     throw UsageError(
         "the bus backend is not model-checkable (--protocol dir|tardis)");
   }
-  cfg.numProcessors = static_cast<NodeId>(args.num("procs", 2));
-  cfg.numBlocks = static_cast<BlockId>(args.num("blocks", 1));
-  cfg.proto.leaseLength =
-      static_cast<std::uint32_t>(args.num("lease", 16));
+  cfg.numProcessors = args.num<NodeId>("procs", 2, 1);
+  cfg.numBlocks = args.num<BlockId>("blocks", 1, 1);
+  cfg.proto.leaseLength = args.num<std::uint32_t>("lease", 16);
   cfg.maxStates = args.num("max-states", 2'000'000);
   cfg.maxDepth = args.num("max-depth", 0);
-  cfg.jobs = static_cast<unsigned>(args.num("jobs", 1));
-  if (cfg.jobs == 0) throw UsageError("--jobs must be at least 1");
+  cfg.jobs = args.num<unsigned>("jobs", 1, 1);
   cfg.symmetry = args.has("symmetry");
   cfg.por = args.has("por");
   cfg.modelData = args.has("model-data");
@@ -421,8 +418,7 @@ int cmdMc(const Args& args) {
   cfg.memLimitMb = args.num("mem-limit-mb", 0);
   cfg.perf = args.has("perf");
   cfg.visited = parseVisitedMode(args.str("visited", "exact"));
-  cfg.bitstateMb = args.num("bitstate-mb", 64);
-  if (cfg.bitstateMb == 0) throw UsageError("--bitstate-mb must be >= 1");
+  cfg.bitstateMb = args.num("bitstate-mb", 64, 1);
   cfg.spillDir = args.str("spill", "");
   cfg.checkpointDir = args.str("checkpoint", "");
   cfg.checkpointEvery = args.num("checkpoint-every", 1);
@@ -503,10 +499,8 @@ int cmdCampaign(const Args& args) {
   campaign::CampaignConfig cfg;
   cfg.protocol = parseProtocol(args.str("protocol", "dir"));
   cfg.masterSeed = args.num("master-seed", 1);
-  cfg.seeds = args.num("seeds", 256);
-  if (cfg.seeds == 0) throw UsageError("--seeds must be at least 1");
-  cfg.jobs = static_cast<unsigned>(args.num("jobs", 1));
-  if (cfg.jobs == 0) throw UsageError("--jobs must be at least 1");
+  cfg.seeds = args.num("seeds", 256, 1);
+  cfg.jobs = args.num<unsigned>("jobs", 1, 1);
   const std::string workloadName = args.str("workload", "mixed");
   if (workloadName != "mixed") {
     cfg.workload = parseWorkload(workloadName);
@@ -514,32 +508,10 @@ int cmdCampaign(const Args& args) {
   cfg.mutant = parseMutantFor(args, cfg.protocol);
   cfg.untilCoverage = args.has("until-coverage");
   cfg.minimize = args.has("minimize");
-  cfg.maxMinimized = args.num("max-minimized", 4);
+  cfg.maxMinimized = args.num<std::size_t>("max-minimized", 4);
   cfg.outDir = args.str("out", "");
   cfg.maxEventsPerRun = args.num("max-events", 5'000'000);
   cfg.minimizeAttempts = args.num("minimize-attempts", 400);
-  // Streaming (online, trace-free) verification is the default; --no-streaming
-  // re-enables the record-then-batch-check path for A/B comparison.  Both
-  // produce identical reports and failure signatures.
-  cfg.streaming = !args.has("no-streaming");
-  // Optional exhaustive stage: model-check a small configuration of the
-  // same protocol variant before the seed fan-out.
-  cfg.mcStage = args.has("mc-stage");
-  cfg.mcProcs = static_cast<NodeId>(args.num("mc-procs", 2));
-  cfg.mcBlocks = static_cast<BlockId>(args.num("mc-blocks", 1));
-  cfg.mcMaxStates = args.num("mc-max-states", 400'000);
-  cfg.mcVisited = parseVisitedMode(args.str("mc-visited", "exact"));
-  cfg.mcMemLimitMb = args.num("mc-mem-limit-mb", 0);
-  cfg.mcSpillDir = args.str("mc-spill", "");
-  cfg.mcCheckpointDir = args.str("mc-checkpoint", "");
-  cfg.mcResumeDir = args.str("mc-resume", "");
-  if (!cfg.mcStage &&
-      (cfg.mcVisited != VisitedMode::Exact || cfg.mcMemLimitMb != 0 ||
-       !cfg.mcSpillDir.empty() || !cfg.mcCheckpointDir.empty() ||
-       !cfg.mcResumeDir.empty())) {
-    throw UsageError("--mc-visited/--mc-mem-limit-mb/--mc-spill/"
-                     "--mc-checkpoint/--mc-resume require --mc-stage");
-  }
 
   std::cout << "campaign: master-seed=" << cfg.masterSeed
             << " seeds=" << cfg.seeds << " workload=" << workloadName
@@ -549,10 +521,7 @@ int cmdCampaign(const Args& args) {
                           proto::backendFor(cfg.protocol).name())
             << " mutant=" << toString(cfg.mutant)
             << (cfg.untilCoverage ? " until-coverage" : "")
-            << (cfg.minimize ? " minimize" : "")
-            << (cfg.streaming ? "" : " no-streaming")
-            << (cfg.mcStage ? " mc-stage" : "")
-            << '\n';
+            << (cfg.minimize ? " minimize" : "") << '\n';
 
   const campaign::CampaignResult r = campaign::run(cfg);
   std::cout << r.report();
@@ -567,13 +536,6 @@ int cmdCampaign(const Args& args) {
             << " seeds/s, tasks stolen: " << r.pool.tasksStolen << "/"
             << r.pool.tasksExecuted << '\n';
   r.perf.print(std::cout);
-  if (r.mcStage.ran) {
-    std::cout << "mc stage: " << r.mcSeconds << " s, "
-              << (r.mcSeconds > 0
-                      ? static_cast<double>(r.mcStage.states) / r.mcSeconds
-                      : 0.0)
-              << " states/s\n";
-  }
   std::cout << "process peak RSS " << peakRssBytes() << " B\n";
   if (!args.has("quiet")) {
     for (const auto& f : r.failures) {
@@ -636,21 +598,15 @@ void printServeStats(const dsm::ServeResult& r, bool quiet) {
 
 int cmdServe(const Args& args) {
   dsm::ServeConfig cfg;
-  cfg.nodes = static_cast<std::uint32_t>(args.num("nodes", 3));
-  if (cfg.nodes == 0) throw UsageError("--nodes must be at least 1");
-  cfg.port = static_cast<std::uint16_t>(args.num("port", 7400));
+  cfg.nodes = args.num<std::uint32_t>("nodes", 3, 1);
+  cfg.port = args.num<std::uint16_t>("port", 7400);
   cfg.once = args.has("once");
-  cfg.system.numBlocks = static_cast<BlockId>(args.num("blocks", 64));
-  cfg.system.proto.wordsPerBlock =
-      static_cast<WordIdx>(args.num("words", 4));
+  cfg.system.numBlocks = args.num<BlockId>("blocks", 64, 1);
+  cfg.system.proto.wordsPerBlock = args.num<WordIdx>("words", 4, 1);
   cfg.system.seed = args.num("seed", 1);
-  cfg.system.storeBufferDepth =
-      static_cast<std::uint32_t>(args.num("store-buffer", 0));
+  cfg.system.storeBufferDepth = args.num<std::uint32_t>("store-buffer", 0);
   cfg.system.proto.mutant = parseMutantFor(args, cfg.system.protocol);
-  cfg.heartbeatEveryPumps = args.num("heartbeat-pumps", 16);
-  if (cfg.heartbeatEveryPumps == 0) {
-    throw UsageError("--heartbeat-pumps must be at least 1");
-  }
+  cfg.heartbeatEveryPumps = args.num("heartbeat-pumps", 16, 1);
   cfg.idleTimeoutMs = args.num("idle-timeout-ms", 30'000);
   cfg.drainTimeoutMs = args.num("drain-timeout-ms", 10'000);
 
@@ -661,8 +617,8 @@ int cmdServe(const Args& args) {
     load.kind = parseWorkload(args.str("mix", "uniform"));
     load.totalOps = args.num("ops", 10'000);
     load.seed = args.num("load-seed", cfg.system.seed);
-    load.chunkSteps = static_cast<std::uint32_t>(args.num("chunk", 1024));
-    load.window = static_cast<std::uint32_t>(args.num("window", 2));
+    load.chunkSteps = args.num<std::uint32_t>("chunk", 1024, 1);
+    load.window = args.num<std::uint32_t>("window", 2);
     std::cout << "serve (mem loopback): " << cfg.nodes << " nodes, "
               << load.totalOps << " ops, mix=" << args.str("mix", "uniform")
               << ", seed " << load.seed << '\n';
@@ -691,17 +647,13 @@ int cmdServe(const Args& args) {
 
 int cmdLoad(const Args& args) {
   dsm::LoadConfig cfg;
-  cfg.port = static_cast<std::uint16_t>(args.num("port", 7400));
-  if (cfg.port == 0) throw UsageError("--port must be nonzero");
+  cfg.port = args.num<std::uint16_t>("port", 7400, 1);
   cfg.totalOps = args.num("ops", 100'000);
-  cfg.clients = static_cast<std::uint32_t>(args.num("clients", 1));
-  if (cfg.clients == 0) throw UsageError("--clients must be at least 1");
+  cfg.clients = args.num<std::uint32_t>("clients", 1, 1);
   cfg.kind = parseWorkload(args.str("mix", "uniform"));
   cfg.seed = args.num("seed", 1);
-  cfg.chunkSteps = static_cast<std::uint32_t>(args.num("chunk", 1024));
-  if (cfg.chunkSteps == 0) throw UsageError("--chunk must be at least 1");
-  cfg.window = static_cast<std::uint32_t>(args.num("window", 2));
-  if (cfg.window == 0) throw UsageError("--window must be at least 1");
+  cfg.chunkSteps = args.num<std::uint32_t>("chunk", 1024, 1);
+  cfg.window = args.num<std::uint32_t>("window", 2, 1);
 
   const dsm::LoadResult r = dsm::runLoad(cfg);
   std::cout << "load: " << r.opsBound << " ops over " << r.nodes
@@ -720,7 +672,7 @@ const std::map<std::string, OptionSpec>& optionSpecs() {
          "protocol", "capacity", "mutant", "store-pct", "evict-pct",
          "prefetch", "store-buffer", "model", "min-latency", "max-latency",
          "snoop-delay", "lease", "trace", "trace-format"},
-        {"no-putshared", "quiet", "streaming", "no-trace", "perf"}}},
+        {"no-putshared", "quiet", "perf"}}},
       {"verify", {{"trace", "procs", "model"}, {"partial", "quiet"}}},
       {"mc",
        {{"procs", "blocks", "protocol", "lease", "max-states", "max-depth",
@@ -730,11 +682,8 @@ const std::map<std::string, OptionSpec>& optionSpecs() {
          "replay", "perf"}}},
       {"campaign",
        {{"seeds", "jobs", "master-seed", "workload", "protocol", "mutant",
-         "out", "max-events", "max-minimized", "minimize-attempts",
-         "mc-procs", "mc-blocks", "mc-max-states", "mc-visited",
-         "mc-mem-limit-mb", "mc-spill", "mc-checkpoint", "mc-resume"},
-        {"until-coverage", "minimize", "quiet", "streaming",
-         "no-streaming", "mc-stage"}}},
+         "out", "max-events", "max-minimized", "minimize-attempts"},
+        {"until-coverage", "minimize", "quiet"}}},
       {"serve",
        {{"nodes", "port", "blocks", "words", "seed", "store-buffer",
          "mutant", "heartbeat-pumps", "idle-timeout-ms", "drain-timeout-ms",
@@ -750,7 +699,8 @@ void usage(std::ostream& os) {
   os <<
       "usage: lcdc <command> [options]\n\n"
       "commands:\n"
-      "  run       simulate + verify\n"
+      "  run       simulate + verify online (a trace is recorded only for\n"
+      "            --trace FILE)\n"
       "            --procs N --dirs D --blocks B --ops K --seed S\n"
       "            --workload uniform|hot|prodcons|migratory|falseshare|\n"
       "                       readmostly|leasechurn\n"
@@ -763,7 +713,6 @@ void usage(std::ostream& os) {
       "            --min-latency T --max-latency T --trace FILE --quiet\n"
       "            --trace-format text|binary (binary: varint codec, ~5x\n"
       "                                        smaller; loadFile autodetects)\n"
-      "            --streaming (verify online) --no-trace (O(1) memory)\n"
       "            --perf (events/s, network-queue counters, peak RSS;\n"
       "                    wall-clock)\n"
       "  verify    re-check a dumped trace\n"
@@ -806,12 +755,7 @@ void usage(std::ostream& os) {
       "            --mutant NAME --until-coverage --minimize\n"
       "            --max-minimized K --minimize-attempts A\n"
       "            --out DIR (archive failing + minimized traces)\n"
-      "            --max-events E --quiet --no-streaming (batch-check A/B)\n"
-      "            --mc-stage (exhaustively model-check a small config of\n"
-      "                        the same variant first)\n"
-      "            --mc-procs N --mc-blocks B --mc-max-states M\n"
-      "            --mc-visited exact|compact|bitstate --mc-mem-limit-mb M\n"
-      "            --mc-spill DIR --mc-checkpoint DIR --mc-resume DIR\n"
+      "            --max-events E --quiet\n"
       "  serve     host a message-passing DSM with live online verification\n"
       "            --nodes N --port P (certifier on P, node i on P+1+i)\n"
       "            --once (exit after the first completed load session)\n"
@@ -869,7 +813,8 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n(see 'lcdc help')\n";
     return kExitUsage;
   } catch (const ProtocolError& e) {
-    std::cerr << "protocol invariant violated: " << e.what() << '\n';
+    // The message already begins "protocol invariant violated:".
+    std::cerr << e.what() << '\n';
     return kExitSimFailed;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
