@@ -11,10 +11,6 @@
 
 namespace lcdc::proto {
 
-void BackendSystem::reset(std::uint64_t) {
-  throw SimError("this backend does not support in-place reset");
-}
-
 void BackendSystem::printStats(std::ostream&) const {}
 
 namespace {
@@ -34,8 +30,6 @@ class EventLoopSystem final : public BackendSystem {
   RunResult run(std::uint64_t maxEvents) override {
     return maxEvents == 0 ? sys_.run() : sys_.run(maxEvents);
   }
-  [[nodiscard]] bool supportsReset() const override { return true; }
-  void reset(std::uint64_t seed) override { sys_.reset(seed); }
   [[nodiscard]] net::Network* network() override { return &sys_.network(); }
   void printStats(std::ostream& os) const override {
     if constexpr (std::is_same_v<Sys, tardis::TardisSystem>) {

@@ -64,11 +64,6 @@ class BackendSystem {
   /// backend's own default budget (the per-protocol defaults differ).
   virtual RunResult run(std::uint64_t maxEvents = 0) = 0;
 
-  /// Rewind to the freshly constructed state under a new seed, in place.
-  /// Only when supportsReset(); the default implementation throws.
-  [[nodiscard]] virtual bool supportsReset() const { return false; }
-  virtual void reset(std::uint64_t seed);
-
   /// The point-to-point network, for latency/queue statistics (--perf).
   /// Null for backends without one (the bus is a centralized medium).
   [[nodiscard]] virtual net::Network* network() { return nullptr; }

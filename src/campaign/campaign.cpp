@@ -249,7 +249,7 @@ RunResult executeCase(WorkerEngine& eng, const CaseSpec& spec,
             std::chrono::steady_clock::now() - t0)
             .count());
     out.perf.note(result.eventsProcessed, result.opsBound, nanos,
-                  net::CalendarStats{});
+                  net::QueueStats{});
     return result;
   }
   if (spec.sys.protocol == ProtocolKind::Tardis) {

@@ -4,7 +4,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -164,19 +163,6 @@ bool Conn::writePending() {
     outPos_ = 0;
   }
   return true;
-}
-
-void Conn::flushBlocking() {
-  while (wantWrite()) {
-    if (!writePending()) {
-      throw SimError("connection failed while flushing");
-    }
-    if (!wantWrite()) break;
-    pollfd p{};
-    p.fd = fd_;
-    p.events = POLLOUT;
-    (void)::poll(&p, 1, 100);
-  }
 }
 
 }  // namespace lcdc::dsm

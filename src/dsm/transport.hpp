@@ -81,10 +81,6 @@ class Conn {
   /// on a fatal socket error.
   [[nodiscard]] bool writePending();
 
-  /// Block (poll for writability) until the outbound queue drains — the
-  /// shutdown path, where FIN and final replies must actually leave.
-  void flushBlocking();
-
  private:
   int fd_;
   FrameDecoder dec_;

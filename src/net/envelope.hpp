@@ -1,5 +1,5 @@
-// The envelope vocabulary shared by the network front-end and its queue
-// implementations (calendar queue, manual bag).
+// The envelope vocabulary shared by the network (its key heap and its
+// manual bag) and the simulators that drive it.
 #pragma once
 
 #include <cstdint>

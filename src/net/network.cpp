@@ -13,6 +13,11 @@ namespace {
 constexpr std::uint64_t kPctBurstMin = 8;
 constexpr std::uint64_t kPctBurstMax = 64;
 constexpr std::uint64_t kPctPrioSpan = 1u << 20;
+
+/// A fresh PCT priority as a heap rank: the highest priority pops first.
+std::uint64_t pctRank(Rng& rng) {
+  return kPctPrioSpan - 1 - rng.uniform(0, kPctPrioSpan - 1);
+}
 }  // namespace
 
 NetStats::NetStats()
@@ -21,7 +26,7 @@ NetStats::NetStats()
 
 Network::Network(Mode mode, Rng rng, Tick minLatency, Tick maxLatency)
     : mode_(mode), rng_(rng), minLatency_(minLatency),
-      maxLatency_(maxLatency), timed_(maxLatency) {
+      maxLatency_(maxLatency) {
   LCDC_EXPECT(minLatency_ <= maxLatency_, "latency bounds inverted");
   LCDC_EXPECT(minLatency_ >= 1, "zero latency would allow same-tick loops");
   if (mode_ == Mode::Pct) {
@@ -32,14 +37,12 @@ Network::Network(Mode mode, Rng rng, Tick minLatency, Tick maxLatency)
 void Network::reset(Rng rng) {
   rng_ = rng;
   nextSeq_ = 1;
-  timed_.clear();
-  timed_.resetStats();
   manual_.clear();
-  pct_.clear();
-  pctSlots_.clear();
-  pctFree_.clear();
-  pctStats_ = CalendarStats{};
-  pctFloor_ = 0;
+  heap_.clear();
+  slots_.clear();
+  freeSlots_.clear();
+  queueStats_ = QueueStats{};
+  floor_ = 0;
   if (mode_ == Mode::Pct) {
     pctUntilChangePoint_ = rng_.uniform(kPctBurstMin, kPctBurstMax);
   }
@@ -60,58 +63,52 @@ MsgSeq Network::send(NodeId src, NodeId dst, Tick now, proto::Message msg) {
   const auto typeIdx = static_cast<std::size_t>(env.msg.type);
   if (typeIdx < stats_.sentByType.size()) stats_.sentByType[typeIdx] += 1;
 
+  std::uint64_t rank = 0;
   switch (mode_) {
     case Mode::RandomLatency:
       env.deliverAt = now + rng_.uniform(minLatency_, maxLatency_);
-      timed_.push(std::move(env));
+      rank = env.deliverAt;
       break;
     case Mode::Fifo:
       env.deliverAt = now + minLatency_;
-      timed_.push(std::move(env));
+      rank = env.deliverAt;
       break;
     case Mode::Manual:
       env.deliverAt = now;
       manual_.push_back(std::move(env));
-      break;
-    case Mode::Pct: {
+      return nextSeq_ - 1;
+    case Mode::Pct:
       env.deliverAt = now + minLatency_;
-      PctKey key;
-      key.seq = env.seq;
-      key.prio = static_cast<std::uint32_t>(rng_.uniform(0, kPctPrioSpan - 1));
-      if (pctFree_.empty()) {
-        key.slot = static_cast<std::uint32_t>(pctSlots_.size());
-        pctSlots_.push_back(std::move(env));
-      } else {
-        key.slot = pctFree_.back();
-        pctFree_.pop_back();
-        pctSlots_[key.slot] = std::move(env);
-      }
-      pct_.push_back(key);
-      std::push_heap(pct_.begin(), pct_.end(), pctLess);
-      pctStats_.pushes += 1;
-      pctStats_.maxDepth = std::max<std::uint64_t>(pctStats_.maxDepth,
-                                                   pct_.size());
+      rank = pctRank(rng_);
       break;
-    }
   }
+  Key key;
+  key.rank = rank;
+  key.seq = env.seq;
+  if (freeSlots_.empty()) {
+    key.slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(std::move(env));
+  } else {
+    key.slot = freeSlots_.back();
+    freeSlots_.pop_back();
+    slots_[key.slot] = std::move(env);
+  }
+  heap_.push_back(key);
+  std::push_heap(heap_.begin(), heap_.end(), later);
+  queueStats_.pushes += 1;
+  queueStats_.maxDepth =
+      std::max<std::uint64_t>(queueStats_.maxDepth, heap_.size());
   return nextSeq_ - 1;
 }
 
 std::size_t Network::inFlight() const {
-  switch (mode_) {
-    case Mode::Manual: return manual_.size();
-    case Mode::Pct: return pct_.size();
-    default: return timed_.size();
-  }
+  return mode_ == Mode::Manual ? manual_.size() : heap_.size();
 }
 
 Tick Network::nextDeliveryTime() const {
   LCDC_EXPECT(mode_ != Mode::Manual, "nextDeliveryTime in Manual mode");
-  if (mode_ == Mode::Pct) {
-    if (pct_.empty()) return kNever;
-    return std::max(pctSlots_[pct_.front().slot].deliverAt, pctFloor_);
-  }
-  return timed_.nextDeliveryTime();
+  if (heap_.empty()) return kNever;
+  return std::max(slots_[heap_.front().slot].deliverAt, floor_);
 }
 
 void Network::countDelivered(const Envelope& env) {
@@ -124,31 +121,24 @@ void Network::countDelivered(const Envelope& env) {
 
 Envelope Network::popNext() {
   LCDC_EXPECT(mode_ != Mode::Manual, "popNext in Manual mode");
-  if (mode_ == Mode::Pct) {
-    LCDC_EXPECT(!pct_.empty(), "popNext on empty network");
-    std::pop_heap(pct_.begin(), pct_.end(), pctLess);
-    const std::uint32_t slot = pct_.back().slot;
-    pct_.pop_back();
-    Envelope env = std::move(pctSlots_[slot]);
-    pctFree_.push_back(slot);
-    pctStats_.pops += 1;
-    // Deliveries must be monotone in time even when a starved low-priority
-    // message finally surfaces with a stale deliverAt.
-    env.deliverAt = std::max(env.deliverAt, pctFloor_);
-    pctFloor_ = env.deliverAt;
-    if (!pct_.empty() && --pctUntilChangePoint_ == 0) {
-      for (PctKey& key : pct_) {
-        key.prio =
-            static_cast<std::uint32_t>(rng_.uniform(0, kPctPrioSpan - 1));
-      }
-      std::make_heap(pct_.begin(), pct_.end(), pctLess);
-      pctUntilChangePoint_ = rng_.uniform(kPctBurstMin, kPctBurstMax);
-    }
-    countDelivered(env);
-    return env;
+  LCDC_EXPECT(!heap_.empty(), "popNext on empty network");
+  std::pop_heap(heap_.begin(), heap_.end(), later);
+  const std::uint32_t slot = heap_.back().slot;
+  heap_.pop_back();
+  Envelope env = std::move(slots_[slot]);
+  freeSlots_.push_back(slot);
+  queueStats_.pops += 1;
+  // Deliveries must be monotone in time even when a starved low-priority
+  // Pct message finally surfaces with a stale deliverAt.  (A timed send
+  // happens at or after the last delivery, so this never moves a timed
+  // envelope.)
+  env.deliverAt = std::max(env.deliverAt, floor_);
+  floor_ = env.deliverAt;
+  if (mode_ == Mode::Pct && !heap_.empty() && --pctUntilChangePoint_ == 0) {
+    for (Key& key : heap_) key.rank = pctRank(rng_);
+    std::make_heap(heap_.begin(), heap_.end(), later);
+    pctUntilChangePoint_ = rng_.uniform(kPctBurstMin, kPctBurstMax);
   }
-  LCDC_EXPECT(!timed_.empty(), "popNext on empty network");
-  Envelope env = timed_.pop();
   countDelivered(env);
   return env;
 }

@@ -33,11 +33,18 @@
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
-#include "net/calendar_queue.hpp"
 #include "net/envelope.hpp"
 #include "proto/messages.hpp"
 
 namespace lcdc::net {
+
+/// Queue operation counters of the non-manual modes, for SimPerfCounters
+/// (always on; they are a handful of increments per event).
+struct QueueStats {
+  std::uint64_t pushes = 0;
+  std::uint64_t pops = 0;
+  std::uint64_t maxDepth = 0;  ///< high-water in-flight envelopes
+};
 
 /// Per-message-type traffic counters.
 struct NetStats {
@@ -89,33 +96,33 @@ class Network {
 
   [[nodiscard]] Mode mode() const { return mode_; }
   [[nodiscard]] const NetStats& stats() const { return stats_; }
-  /// Queue operation counters of the timed modes, for SimPerfCounters: the
-  /// calendar queue's, or in Pct mode the priority heap's pushes, pops and
-  /// depth high-water (its overflow and pool counters stay 0).
-  [[nodiscard]] const CalendarStats& queueStats() const {
-    return mode_ == Mode::Pct ? pctStats_ : timed_.stats();
-  }
+  /// Pushes, pops and depth high-water of the non-manual modes' queue.
+  [[nodiscard]] const QueueStats& queueStats() const { return queueStats_; }
 
   /// Return to the just-constructed state with a fresh random stream, but
-  /// keep the envelope pool's slabs and every container's capacity — the
-  /// campaign resets one Network per worker thousands of times.
+  /// keep every container's capacity — the campaign resets one Network per
+  /// worker thousands of times.
   void reset(Rng rng);
 
  private:
-  // Pct's heap orders 16-byte keys; the envelopes stay in `pctSlots_` and
-  // never move after insertion, so no sift step moves a whole Envelope
-  // (the cost calendar_queue.hpp avoids too).  pctLess reads only (prio,
-  // seq), so the heap layout, the pop order and the order of change-point
-  // redraws are those of a heap of whole envelopes ordered the same way,
-  // which is what the PctSeedEquiv pins were captured from.
-  struct PctKey {
+  // Every non-manual mode keeps its pending envelopes in `slots_`, where
+  // they never move after insertion, and pops the one with the smallest
+  // (rank, seq) key from one min-heap of 24-byte keys, so no sift step
+  // moves a whole Envelope.  The rank is deliverAt in RandomLatency and
+  // Fifo mode and kPctPrioSpan - 1 - prio in Pct mode.  The timed order is
+  // strict and total on (deliverAt, seq), so pops come out in the order a
+  // std::priority_queue of envelopes gives (the seed-equivalence pins).  In
+  // Pct mode `later` gives, for every pair, the answer of the max-heap on
+  // (priority, lowest seq first) the PctSeedEquiv pins were captured from,
+  // so the heap layout, the pop order and the order of change-point redraws
+  // are that heap's.
+  struct Key {
+    std::uint64_t rank = 0;
     MsgSeq seq = 0;
-    std::uint32_t prio = 0;
-    std::uint32_t slot = 0;  ///< index into pctSlots_
+    std::uint32_t slot = 0;  ///< index into slots_
   };
-  // Max-heap order: highest priority first, lowest seq among ties.
-  static bool pctLess(const PctKey& a, const PctKey& b) {
-    if (a.prio != b.prio) return a.prio < b.prio;
+  static bool later(const Key& a, const Key& b) {
+    if (a.rank != b.rank) return a.rank > b.rank;
     return a.seq > b.seq;
   }
 
@@ -126,13 +133,12 @@ class Network {
   Tick minLatency_;
   Tick maxLatency_;
   MsgSeq nextSeq_ = 1;
-  CalendarQueue timed_;
   std::deque<Envelope> manual_;
-  std::vector<PctKey> pct_;                ///< max-heap of pending keys
-  std::vector<Envelope> pctSlots_;         ///< pending envelopes, by slot
-  std::vector<std::uint32_t> pctFree_;     ///< recycled slots
-  CalendarStats pctStats_;
-  Tick pctFloor_ = 0;                     ///< monotone delivery-time clamp
+  std::vector<Key> heap_;                ///< min-heap of pending keys
+  std::vector<Envelope> slots_;          ///< pending envelopes, by slot
+  std::vector<std::uint32_t> freeSlots_; ///< recycled slots
+  QueueStats queueStats_;
+  Tick floor_ = 0;                       ///< monotone delivery-time clamp
   std::uint64_t pctUntilChangePoint_ = 0; ///< deliveries until a reshuffle
   NetStats stats_;
 };

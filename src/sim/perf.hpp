@@ -5,8 +5,8 @@
 // collect without perturbing seed-equivalence, and callers only print
 // them when asked (`lcdc run --perf`, `lcdc campaign --perf`).  Wall time
 // is measured by the caller around the run loop; the queue counters come
-// from the network's calendar queue, which maintains them unconditionally
-// (they are a handful of increments per event).
+// from the network's key heap, which maintains them unconditionally (they
+// are a handful of increments per event).
 #pragma once
 
 #include <algorithm>
@@ -14,7 +14,7 @@
 #include <iosfwd>
 #include <ostream>
 
-#include "net/calendar_queue.hpp"
+#include "net/network.hpp"
 
 namespace lcdc::sim {
 
@@ -23,7 +23,7 @@ struct SimPerfCounters {
   std::uint64_t events = 0;     ///< simulator events processed
   std::uint64_t opsBound = 0;   ///< program operations bound
   std::uint64_t wallNanos = 0;  ///< wall-clock spent inside System::run
-  net::CalendarStats queue;     ///< network calendar-queue op counters
+  net::QueueStats queue;        ///< network queue op counters
 
   [[nodiscard]] double eventsPerSec() const {
     return wallNanos == 0 ? 0.0
@@ -31,27 +31,20 @@ struct SimPerfCounters {
                                 static_cast<double>(wallNanos);
   }
 
-  /// Fraction of queue pushes that missed the wheel window and hit the
-  /// overflow heap (should stay ~0 for a well-sized wheel).
-  [[nodiscard]] double overflowRate() const {
-    return queue.pushes == 0 ? 0.0
-                             : static_cast<double>(queue.overflowPushes) /
-                                   static_cast<double>(queue.pushes);
-  }
+  /// Always 0: the network's one key heap has no overflow path.  Kept for
+  /// the benchmark's `net.overflow_push_frac`, which reads it.
+  [[nodiscard]] double overflowRate() const { return 0.0; }
 
   /// Record one completed sub-run.
   void note(std::uint64_t runEvents, std::uint64_t runOpsBound,
-            std::uint64_t nanos, const net::CalendarStats& q) {
+            std::uint64_t nanos, const net::QueueStats& q) {
     runs += 1;
     events += runEvents;
     opsBound += runOpsBound;
     wallNanos += nanos;
     queue.pushes += q.pushes;
     queue.pops += q.pops;
-    queue.overflowPushes += q.overflowPushes;
-    queue.overflowPops += q.overflowPops;
     queue.maxDepth = std::max(queue.maxDepth, q.maxDepth);
-    queue.poolNodes = std::max(queue.poolNodes, q.poolNodes);
   }
 
   void merge(const SimPerfCounters& o) {
@@ -61,10 +54,7 @@ struct SimPerfCounters {
     wallNanos += o.wallNanos;
     queue.pushes += o.queue.pushes;
     queue.pops += o.queue.pops;
-    queue.overflowPushes += o.queue.overflowPushes;
-    queue.overflowPops += o.queue.overflowPops;
     queue.maxDepth = std::max(queue.maxDepth, o.queue.maxDepth);
-    queue.poolNodes = std::max(queue.poolNodes, o.queue.poolNodes);
   }
 
   void print(std::ostream& os) const {
@@ -72,9 +62,7 @@ struct SimPerfCounters {
        << static_cast<double>(wallNanos) * 1e-9 << " s ("
        << eventsPerSec() << " events/s), " << opsBound << " ops bound\n"
        << "  net queue: " << queue.pushes << " pushes, " << queue.pops
-       << " pops, " << queue.overflowPushes << " overflow pushes ("
-       << overflowRate() * 100.0 << "%), max depth " << queue.maxDepth
-       << ", pool high-water " << queue.poolNodes << " nodes\n";
+       << " pops, max depth " << queue.maxDepth << '\n';
   }
 };
 

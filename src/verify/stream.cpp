@@ -1130,12 +1130,6 @@ void StatsObserver::noteEvent() {
   }
 }
 
-double StatsObserver::eventsPerSecond() const {
-  return stats_.seconds > 0
-             ? static_cast<double>(stats_.events) / stats_.seconds
-             : 0.0;
-}
-
 std::string StatsObserver::report() const {
   std::ostringstream os;
   os << "events: " << stats_.events << '\n';

@@ -533,7 +533,6 @@ class StatsObserver final : public proto::Observer {
   };
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] double eventsPerSecond() const;
   /// Multi-line human-readable summary (counters only — no wall-clock
   /// numbers, so output stays deterministic for equal event streams).
   [[nodiscard]] std::string report() const;

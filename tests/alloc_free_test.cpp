@@ -2,7 +2,7 @@
 //
 // A campaign worker reuses one System and one StreamCheckerSet across
 // sub-runs (System::reset), and from the second run on the whole event
-// path — message fields, the calendar queue, envelope storage, the
+// path — message fields, the network's key heap and envelope slots, the
 // checkers' pooled containers and merge queues — must stay off the heap.
 // This binary replaces global operator new to count heap allocations
 // exactly, so the ceiling is the same on every machine, and reads the
@@ -10,8 +10,8 @@
 // outside the contract.  The first rep is a warm-up that grows pools and
 // slabs to their high-water marks; every later rep must allocate
 // nothing.  Each workload runs under both timed schedules: random latency
-// (the calendar queue) and PCT (the priority heap every campaign case runs
-// on).
+// and PCT (the schedule every campaign case runs on), which share the
+// network's one key heap.
 //
 // 40,000 ops per processor over 8 reps is the size at which the SC merge
 // queue's deque map used to be reallocated on some hot reps (EXPERIMENTS.md

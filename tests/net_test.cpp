@@ -2,6 +2,10 @@
 // eventual delivery; no ordering) and the three delivery modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <queue>
+#include <vector>
+
 #include "common/expect.hpp"
 #include "net/network.hpp"
 
@@ -74,6 +78,86 @@ TEST(Network, NextDeliveryTimeTracksEarliest) {
   net.send(0, 1, 10, msg(proto::MsgType::GetS, 0));
   net.send(0, 1, 4, msg(proto::MsgType::GetS, 1));
   EXPECT_EQ(net.nextDeliveryTime(), 6u);
+}
+
+// The timed modes' pop order, pinned against the seed engine's own queue:
+// a std::priority_queue of envelopes with the earliest (deliverAt, seq) on
+// top.  Sends interleave with pops; about 3% of sends follow an idle jump
+// far past maxLatency (the retry-timer pattern), and ties are common.
+// RandomLatency draws each send's latency from the network's stream,
+// uniform in [min, max], so a twin Rng on the same seed gives the oracle
+// every deliverAt.  After reset(), the same script pops the same order.
+TEST(Network, TimedPopOrderMatchesPriorityQueueOracle) {
+  struct Later {
+    bool operator()(const Envelope& a, const Envelope& b) const {
+      if (a.deliverAt != b.deliverAt) return a.deliverAt > b.deliverAt;
+      return a.seq > b.seq;
+    }
+  };
+  constexpr Tick kMin = 1;
+  constexpr Tick kMax = 40;
+  constexpr std::uint64_t kNetSeed = 0xCA1E;
+  for (const Network::Mode mode :
+       {Network::Mode::RandomLatency, Network::Mode::Fifo}) {
+    SCOPED_TRACE(mode == Network::Mode::Fifo ? "Fifo" : "RandomLatency");
+    Network net(mode, Rng(kNetSeed), kMin, kMax);
+    const auto play = [&](std::vector<Envelope>& popped) {
+      std::priority_queue<Envelope, std::vector<Envelope>, Later> oracle;
+      Rng latency(kNetSeed);
+      Rng script(0xFEED);
+      std::uint64_t pushes = 0;
+      std::uint64_t maxDepth = 0;
+      Tick now = 0;
+      const auto pop = [&] {
+        ASSERT_EQ(net.nextDeliveryTime(), oracle.top().deliverAt);
+        const Envelope got = net.popNext();
+        ASSERT_EQ(got.deliverAt, oracle.top().deliverAt);
+        ASSERT_EQ(got.seq, oracle.top().seq);
+        oracle.pop();
+        now = got.deliverAt;
+        popped.push_back(got);
+      };
+      for (int step = 0; step < 30'000; ++step) {
+        if (oracle.empty() || script.chance(11, 20)) {
+          if (script.chance(3, 100)) now += 700 + script.uniform(0, 3000);
+          Envelope want;
+          want.seq = net.send(0, 1, now,
+                              msg(proto::MsgType::GetS,
+                                  static_cast<BlockId>(step % 1024)));
+          want.deliverAt = now + (mode == Network::Mode::Fifo
+                                      ? kMin
+                                      : latency.uniform(kMin, kMax));
+          oracle.push(want);
+          pushes += 1;
+          maxDepth = std::max<std::uint64_t>(maxDepth, oracle.size());
+        } else {
+          pop();
+          if (testing::Test::HasFatalFailure()) return;
+        }
+        ASSERT_EQ(net.inFlight(), oracle.size());
+      }
+      while (!oracle.empty()) {
+        pop();
+        if (testing::Test::HasFatalFailure()) return;
+      }
+      EXPECT_EQ(net.nextDeliveryTime(), kNever);
+      EXPECT_EQ(net.queueStats().pushes, pushes);
+      EXPECT_EQ(net.queueStats().pops, popped.size());
+      EXPECT_EQ(net.queueStats().maxDepth, maxDepth);
+    };
+    std::vector<Envelope> first;
+    play(first);
+    ASSERT_FALSE(testing::Test::HasFailure());
+    net.reset(Rng(kNetSeed));
+    std::vector<Envelope> again;
+    play(again);
+    ASSERT_FALSE(testing::Test::HasFailure());
+    ASSERT_EQ(again.size(), first.size());
+    for (std::size_t i = 0; i < first.size(); ++i) {
+      ASSERT_EQ(again[i].seq, first[i].seq);
+      ASSERT_EQ(again[i].deliverAt, first[i].deliverAt);
+    }
+  }
 }
 
 TEST(Network, ManualModePicksArbitraryOrder) {
