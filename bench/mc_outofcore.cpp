@@ -18,9 +18,14 @@
 // --mem-limit-mb) is driven through the CLI — see EXPERIMENTS.md S17 for
 // the command lines and recorded numbers; this binary keeps the
 // repeatable, minutes-scale slice of the experiment.
+#include <stdlib.h>  // mkdtemp (POSIX)
+
+#include <cerrno>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "bench_util.hpp"
@@ -31,12 +36,18 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// A scratch directory named by mkdtemp, so two runs on one host never
+/// share (and delete) each other's spill files.
 struct TempDir {
   fs::path path;
   explicit TempDir(const std::string& tag) {
-    path = fs::temp_directory_path() / ("lcdc_s17_" + tag);
-    fs::remove_all(path);
-    fs::create_directories(path);
+    std::string name =
+        (fs::temp_directory_path() / ("lcdc_s17_" + tag + "_XXXXXX")).string();
+    if (::mkdtemp(name.data()) == nullptr) {
+      throw std::runtime_error("cannot create scratch directory '" + name +
+                               "': " + std::strerror(errno));
+    }
+    path = name;
   }
   ~TempDir() {
     std::error_code ec;

@@ -131,7 +131,6 @@ bool Conn::readFrames(std::vector<Frame>& out) {
   for (;;) {
     const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
     if (n > 0) {
-      bytesIn_ += static_cast<std::uint64_t>(n);
       lastRxMs_ = monotonicMs();
       dec_.feed(buf, static_cast<std::size_t>(n));
       continue;
@@ -150,7 +149,6 @@ bool Conn::writePending() {
     const ssize_t n = ::send(fd_, out_.data() + outPos_, out_.size() - outPos_,
                              MSG_NOSIGNAL);
     if (n > 0) {
-      bytesOut_ += static_cast<std::uint64_t>(n);
       outPos_ += static_cast<std::size_t>(n);
       continue;
     }

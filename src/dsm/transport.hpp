@@ -63,8 +63,6 @@ class Conn {
 
   [[nodiscard]] int fd() const { return fd_; }
   [[nodiscard]] bool wantWrite() const { return outPos_ < out_.size(); }
-  [[nodiscard]] std::uint64_t bytesIn() const { return bytesIn_; }
-  [[nodiscard]] std::uint64_t bytesOut() const { return bytesOut_; }
   /// Milliseconds since the last byte arrived (idle-timeout input).
   [[nodiscard]] std::uint64_t idleMs() const {
     return monotonicMs() - lastRxMs_;
@@ -87,8 +85,6 @@ class Conn {
   std::vector<std::byte> out_;
   std::size_t outPos_ = 0;
   std::uint64_t lastRxMs_;
-  std::uint64_t bytesIn_ = 0;
-  std::uint64_t bytesOut_ = 0;
 };
 
 }  // namespace lcdc::dsm

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "mc/legacy_key.hpp"
 #include "mc/state_codec.hpp"
 #include "mc/world.hpp"
 #include "mc/world_codec.hpp"
@@ -23,13 +22,12 @@ class DirectoryModel {
   /// Symmetry, POR and data modelling are directory features.
   static constexpr bool kReductions = true;
 
-  /// Per-worker codecs and scratch.
+  /// Per-worker codecs.
   struct Ctx {
     Ctx(const McConfig& cfg, proto::TxnCounter& txns)
-        : codec(cfg), wcodec(cfg, txns), legacy(cfg) {}
+        : codec(cfg), wcodec(cfg, txns) {}
     StateCodec codec;
     WorldCodec wcodec;
-    LegacyCanonicalizer legacy;  ///< POR candidate ordering only
   };
 
   DirectoryModel(const McConfig& cfg, proto::TxnCounter& txns)

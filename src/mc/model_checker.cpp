@@ -180,7 +180,9 @@ class ParallelExplorer {
         !cfg_.checkpointDir.empty() ? cfg_.checkpointDir : cfg_.resumeDir;
     spillPath_ = checkpointing_ ? ckptDir_ : cfg_.spillDir;
     spill_ = !spillPath_.empty();
-    if (spill_) {
+    // A resumed run needs its directory to exist already (the manifest
+    // is read from it), so only a fresh run creates one.
+    if (spill_ && cfg_.resumeDir.empty()) {
       if (::mkdir(spillPath_.c_str(), 0777) != 0 && errno != EEXIST) {
         throw SimError("cannot create spill directory '" + spillPath_ +
                        "': " + std::strerror(errno));
@@ -259,8 +261,9 @@ class ParallelExplorer {
     ArenaRef nextRef;
     std::uint64_t waveEpoch = ~std::uint64_t{0};
     bool timing;
-    std::vector<std::byte> enc;   ///< canonical-encoding scratch
-    std::vector<std::byte> blob;  ///< world-blob scratch
+    std::vector<std::byte> enc;      ///< canonical-encoding scratch
+    std::vector<std::byte> candEnc;  ///< a POR candidate's encoding
+    std::vector<std::byte> blob;     ///< world-blob scratch
   };
 
   /// Check a context out of the pool, rebinding its frontier-blob cursor
@@ -482,64 +485,57 @@ class ParallelExplorer {
     });
   }
 
-  /// The control projection of one cache used by the POR safety test:
-  /// everything the protocol branches on (states, MSHR presence/phase,
-  /// buffered messages, drop bookkeeping), excluding pure-accounting
-  /// fields (ack sets, stamps, data payloads) whose updates commute.
-  std::string controlProjection(const proto::CacheController& c) const {
-    std::ostringstream os;
-    for (BlockId b = 0; b < cfg_.numBlocks; ++b) {
-      const proto::Line* line = c.findLine(b);
-      if (line == nullptr) {
-        os << "-;";
+  /// The POR safety test's control projection: do caches `a` and `b`
+  /// agree on everything the protocol branches on (line presence, states,
+  /// MSHR request/phase/txn, pending forward, buffered messages, drop
+  /// bookkeeping)?  Pure-accounting fields (ack sets, stamps, data
+  /// payloads) are left out: their updates commute.
+  bool sameControl(const proto::CacheController& a,
+                   const proto::CacheController& b) const {
+    const auto sameMsg = [](const proto::Message& x, const proto::Message& y) {
+      return x.type == y.type && x.requester == y.requester && x.txn == y.txn;
+    };
+    for (BlockId blk = 0; blk < cfg_.numBlocks; ++blk) {
+      const proto::Line* x = a.findLine(blk);
+      const proto::Line* y = b.findLine(blk);
+      if (x == nullptr || y == nullptr) {
+        if (x != y) return false;
         continue;
       }
-      os << static_cast<int>(line->cstate) << static_cast<int>(line->astate)
-         << ',' << line->ignoreFwdTxn << ',' << line->dropInvTxn << ',';
-      if (line->mshr) {
-        const proto::Mshr& m = *line->mshr;
-        os << 'M' << static_cast<int>(m.req) << m.replySeen << m.invListKnown
-           << ',' << m.txn << ",p";
-        if (m.pendingFwd) {
-          os << static_cast<int>(m.pendingFwd->type) << '/'
-             << m.pendingFwd->requester << '/' << m.pendingFwd->txn;
-        } else {
-          os << '-';
-        }
-        os << ",b[";
-        for (const proto::Message& bm : m.buffered) {
-          os << static_cast<int>(bm.type) << '/' << bm.requester << '/'
-             << bm.txn << ' ';
-        }
-        os << ']';
-      } else {
-        os << "M-";
+      if (x->cstate != y->cstate || x->astate != y->astate ||
+          x->ignoreFwdTxn != y->ignoreFwdTxn ||
+          x->dropInvTxn != y->dropInvTxn ||
+          x->mshr.has_value() != y->mshr.has_value()) {
+        return false;
       }
-      os << ';';
+      if (!x->mshr) continue;
+      const proto::Mshr& m = *x->mshr;
+      const proto::Mshr& o = *y->mshr;
+      if (m.req != o.req || m.replySeen != o.replySeen ||
+          m.invListKnown != o.invListKnown || m.txn != o.txn ||
+          m.pendingFwd.has_value() != o.pendingFwd.has_value() ||
+          (m.pendingFwd && !sameMsg(*m.pendingFwd, *o.pendingFwd)) ||
+          !std::equal(m.buffered.begin(), m.buffered.end(),
+                      o.buffered.begin(), o.buffered.end(), sameMsg)) {
+        return false;
+      }
     }
-    return os.str();
+    return true;
   }
 
   /// Ample-set attempt: find a "safe" delivery — destined to a cache, the
   /// only in-flight message for that (cache, block), raising no error,
   /// emitting nothing, and leaving the cache's control projection
-  /// untouched — and expand only it.  Candidates are ranked by the
-  /// *legacy string* canonical successor key: equality classes alone
-  /// would not pin down which candidate wins, and the old engine's POR
-  /// counts depend on its exact representative choice, so the string
-  /// order is kept here (and only here — POR runs already trade
-  /// throughput for fewer states).  A candidate whose successor was
-  /// already visited in an earlier wave is skipped (the proviso that
-  /// defeats the ignoring problem); with no eligible candidate the caller
-  /// falls back to full expansion.
+  /// untouched — and expand only it.  A candidate whose successor was
+  /// already visited in an earlier wave is passed over (the proviso that
+  /// defeats the ignoring problem); of the rest, the one with the
+  /// bytewise-least canonical encoding wins, the lowest flight index on a
+  /// tie, so the choice is a function of the state alone.  With no
+  /// eligible candidate the caller falls back to full expansion.
   bool expandAmple(const Node& n, WorkerCtx& ctx, ChunkOut& out) {
     const World& w = n.w;
-    struct Cand {
-      std::string key;
-      World succ;
-      std::size_t idx;
-    };
-    std::vector<Cand> cands;
+    std::optional<World> best;
+    std::size_t bestIdx = 0;
     for (std::size_t i = 0; i < w.flight.size(); ++i) {
       const Flight& f = w.flight[i];
       if (f.dst >= cfg_.numProcessors) continue;
@@ -560,35 +556,32 @@ class ParallelExplorer {
       } catch (const ProtocolError&) {
         continue;  // not safe: full expansion will surface the violation
       }
-      if (!ob.msgs.empty()) continue;
-      if (controlProjection(w.caches[f.dst]) !=
-          controlProjection(s.caches[f.dst])) {
+      if (!ob.msgs.empty() || !sameControl(w.caches[f.dst], s.caches[f.dst])) {
         continue;
       }
-      cands.push_back(Cand{ctx.m.legacy.key(s), std::move(s), i});
-    }
-    if (cands.empty()) return false;
-    std::sort(cands.begin(), cands.end(),
-              [](const Cand& a, const Cand& b) { return a.key < b.key; });
-    for (Cand& c : cands) {
       out.perf.encodeCalls += 1;
       {
         ScopedNanos t(out.perf.encodeNanos, ctx.timing);
-        ctx.m.codec.encode(c.succ, ctx.enc);
+        model_.encode(ctx.m, s, ctx.candEnc);
       }
-      if (visitedBeforeWave(ctx.enc)) continue;
-      const Flight& f = w.flight[c.idx];
-      Action a;
-      a.kind = Action::Kind::Deliver;
-      a.flightIndex = static_cast<std::uint32_t>(c.idx);
-      a.dst = f.dst;
-      a.msgType = f.msg.type;
-      a.block = f.msg.block;
-      out.transitions += 1;
-      recordEncoded(c.succ, n.id, a, ctx, out);
-      return true;
+      if (visitedBeforeWave(ctx.candEnc)) continue;
+      if (!best || ctx.candEnc < ctx.enc) {
+        best = std::move(s);
+        bestIdx = i;
+        ctx.enc.swap(ctx.candEnc);
+      }
     }
-    return false;
+    if (!best) return false;
+    const Flight& f = w.flight[bestIdx];
+    Action a;
+    a.kind = Action::Kind::Deliver;
+    a.flightIndex = static_cast<std::uint32_t>(bestIdx);
+    a.dst = f.dst;
+    a.msgType = f.msg.type;
+    a.block = f.msg.block;
+    out.transitions += 1;
+    recordEncoded(*best, n.id, a, ctx, out);
+    return true;
   }
 
   /// The exact number of successors a full expansion of `w` generates.

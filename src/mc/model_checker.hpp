@@ -39,8 +39,8 @@
 //     states by canonical fingerprint, so `statesExplored` /
 //     `transitions` / verdicts are identical for any `jobs` value, capped
 //     or not — and, for the directory protocol, byte-identical to the
-//     original string-key engine (`legacy_key.hpp` remains as the
-//     differential oracle).
+//     original string-key engine (its key survives only as the codec
+//     tests' differential oracle, `tests/legacy_key.hpp`).
 //   * Every visited state keeps a compact parent edge (4-byte parent id +
 //     the action packed into 8 bytes), so any violation or deadlock
 //     reconstructs into a concrete schedule; `replay.hpp` re-executes

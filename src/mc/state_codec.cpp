@@ -106,36 +106,6 @@ class StateCodec::BitWriter {
   unsigned nbits_ = 0;
 };
 
-class StateCodec::BitReader {
- public:
-  BitReader(const std::byte* data, std::size_t len) : data_(data), len_(len) {}
-
-  std::uint64_t get(unsigned w) {
-    if (w > 32) {
-      const std::uint64_t lo = get(32);
-      return lo | (get(w - 32) << 32);
-    }
-    while (nbits_ < w) {
-      LCDC_EXPECT(pos_ < len_, "canonical decode ran past the buffer");
-      acc_ |= static_cast<std::uint64_t>(std::to_integer<std::uint8_t>(
-                  data_[pos_++]))
-              << nbits_;
-      nbits_ += 8;
-    }
-    const std::uint64_t v = acc_ & ((std::uint64_t{1} << w) - 1);
-    acc_ >>= w;
-    nbits_ -= w;
-    return v;
-  }
-
- private:
-  const std::byte* data_;
-  std::size_t len_;
-  std::size_t pos_ = 0;
-  std::uint64_t acc_ = 0;
-  unsigned nbits_ = 0;
-};
-
 // -- codec -------------------------------------------------------------------
 
 StateCodec::StateCodec(const McConfig& cfg)
@@ -447,134 +417,6 @@ void StateCodec::encode(const World& w, std::vector<std::byte>& out) {
       out.swap(cur_);
     }
   }
-}
-
-DecodedState StateCodec::decode(const std::byte* data, std::size_t len) const {
-  BitReader br(data, len);
-  DecodedState d;
-  d.dirs.resize(cfg_.numBlocks);
-  for (auto& e : d.dirs) {
-    e.state = static_cast<std::uint8_t>(br.get(kDirStateW));
-    e.busyRequester = static_cast<std::uint32_t>(br.get(nodeW_));
-    e.busyReq = static_cast<std::uint8_t>(br.get(kReqW));
-    e.cachedMask = static_cast<std::uint32_t>(br.get(maskW_));
-    if (cfg_.modelData) e.memVal = static_cast<std::uint16_t>(br.get(kValW));
-  }
-  d.lines.resize(static_cast<std::size_t>(cfg_.numProcessors) *
-                 cfg_.numBlocks);
-  for (auto& line : d.lines) {
-    line.present = br.get(1) != 0;
-    if (!line.present) continue;
-    line.cstate = static_cast<std::uint8_t>(br.get(kCStateW));
-    line.astate = static_cast<std::uint8_t>(br.get(kAStateW));
-    line.ignoreFwdTxn = static_cast<std::uint16_t>(br.get(kTxnW));
-    line.dropInvTxn = static_cast<std::uint16_t>(br.get(kTxnW));
-    if (cfg_.modelData) {
-      line.dataVal = static_cast<std::uint16_t>(br.get(kValW));
-      if (cfg_.proto.mutant == Mutant::ForwardStaleValue) {
-        line.epochVal = static_cast<std::uint16_t>(br.get(kValW));
-      }
-    }
-    line.hasMshr = br.get(1) != 0;
-    if (!line.hasMshr) continue;
-    auto& m = line.mshr;
-    m.req = static_cast<std::uint8_t>(br.get(kReqW));
-    m.replySeen = br.get(1) != 0;
-    m.invListKnown = br.get(1) != 0;
-    m.acksMask = static_cast<std::uint32_t>(br.get(maskW_));
-    m.earlyMask = static_cast<std::uint32_t>(br.get(maskW_));
-    m.hasPendingFwd = br.get(1) != 0;
-    if (m.hasPendingFwd) {
-      m.pendingFwdType = static_cast<std::uint8_t>(br.get(kMsgTypeW));
-      m.pendingFwdRequester = static_cast<std::uint32_t>(br.get(nodeW_));
-    }
-    if (cfg_.modelData) m.dataVal = static_cast<std::uint16_t>(br.get(kValW));
-    m.buffered.resize(br.get(kBufCountW));
-    for (auto& bm : m.buffered) {
-      bm.type = static_cast<std::uint8_t>(br.get(kMsgTypeW));
-      bm.requester = static_cast<std::uint32_t>(br.get(nodeW_));
-      bm.txn = static_cast<std::uint16_t>(br.get(kTxnW));
-    }
-  }
-  d.flight.resize(br.get(kFlightCountW));
-  for (auto& msg : d.flight) {
-    msg.dst = static_cast<std::uint32_t>(br.get(nodeW_));
-    msg.type = static_cast<std::uint8_t>(br.get(kMsgTypeW));
-    msg.block = static_cast<std::uint32_t>(br.get(blockW_));
-    msg.src = static_cast<std::uint32_t>(br.get(nodeW_));
-    msg.requester = static_cast<std::uint32_t>(br.get(nodeW_));
-    msg.nackKind = static_cast<std::uint8_t>(br.get(kNackW));
-    msg.nackedReq = static_cast<std::uint8_t>(br.get(kReqW));
-    msg.ignoreBufferedInv = br.get(1) != 0;
-    msg.invMask = static_cast<std::uint32_t>(br.get(maskW_));
-    if (cfg_.modelData) msg.dataVal = static_cast<std::uint16_t>(br.get(kValW));
-    msg.txn = static_cast<std::uint16_t>(br.get(kTxnW));
-    msg.closesTxn = static_cast<std::uint16_t>(br.get(kTxnW));
-  }
-  return d;
-}
-
-void StateCodec::encodeDecoded(const DecodedState& d,
-                               std::vector<std::byte>& out) const {
-  out.clear();
-  BitWriter bw(out);
-  for (const auto& e : d.dirs) {
-    bw.put(e.state, kDirStateW);
-    bw.put(e.busyRequester, nodeW_);
-    bw.put(e.busyReq, kReqW);
-    bw.put(e.cachedMask, maskW_);
-    if (cfg_.modelData) bw.put(e.memVal, kValW);
-  }
-  for (const auto& line : d.lines) {
-    bw.put(line.present ? 1 : 0, 1);
-    if (!line.present) continue;
-    bw.put(line.cstate, kCStateW);
-    bw.put(line.astate, kAStateW);
-    bw.put(line.ignoreFwdTxn, kTxnW);
-    bw.put(line.dropInvTxn, kTxnW);
-    if (cfg_.modelData) {
-      bw.put(line.dataVal, kValW);
-      if (cfg_.proto.mutant == Mutant::ForwardStaleValue) {
-        bw.put(line.epochVal, kValW);
-      }
-    }
-    bw.put(line.hasMshr ? 1 : 0, 1);
-    if (!line.hasMshr) continue;
-    const auto& m = line.mshr;
-    bw.put(m.req, kReqW);
-    bw.put(m.replySeen ? 1 : 0, 1);
-    bw.put(m.invListKnown ? 1 : 0, 1);
-    bw.put(m.acksMask, maskW_);
-    bw.put(m.earlyMask, maskW_);
-    bw.put(m.hasPendingFwd ? 1 : 0, 1);
-    if (m.hasPendingFwd) {
-      bw.put(m.pendingFwdType, kMsgTypeW);
-      bw.put(m.pendingFwdRequester, nodeW_);
-    }
-    if (cfg_.modelData) bw.put(m.dataVal, kValW);
-    bw.put(m.buffered.size(), kBufCountW);
-    for (const auto& bm : m.buffered) {
-      bw.put(bm.type, kMsgTypeW);
-      bw.put(bm.requester, nodeW_);
-      bw.put(bm.txn, kTxnW);
-    }
-  }
-  bw.put(d.flight.size(), kFlightCountW);
-  for (const auto& msg : d.flight) {
-    bw.put(msg.dst, nodeW_);
-    bw.put(msg.type, kMsgTypeW);
-    bw.put(msg.block, blockW_);
-    bw.put(msg.src, nodeW_);
-    bw.put(msg.requester, nodeW_);
-    bw.put(msg.nackKind, kNackW);
-    bw.put(msg.nackedReq, kReqW);
-    bw.put(msg.ignoreBufferedInv ? 1 : 0, 1);
-    bw.put(msg.invMask, maskW_);
-    if (cfg_.modelData) bw.put(msg.dataVal, kValW);
-    bw.put(msg.txn, kTxnW);
-    bw.put(msg.closesTxn, kTxnW);
-  }
-  bw.alignByte();
 }
 
 }  // namespace lcdc::mc

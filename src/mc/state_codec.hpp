@@ -1,11 +1,13 @@
-// Bit-packed canonical state encoding — the binary replacement for the
-// text canonical key (see `legacy_key.hpp` for the preserved original and
-// DESIGN.md §9 for the layout and the equivalence argument).
+// Bit-packed canonical state encoding: the one canonical form of the
+// directory model (DESIGN.md §9 has the layout and the equivalence
+// argument).  The explorer hashes and stores these bytes as the visited
+// key, and POR ranks its ample candidates by them.  Nothing decodes them:
+// frontier worlds travel as lossless `WorldCodec` blobs instead.
 //
-// The codec encodes exactly the fields the string key encoded — the
-// protocol-control projection of a `World` (clocks, raw txn ids, serials,
-// stamps and, without `modelData`, data values are projected away) — into
-// a fixed-layout bit stream:
+// The codec encodes exactly the fields the original text canonical key
+// encoded — the protocol-control projection of a `World` (clocks, raw txn
+// ids, serials, stamps and, without `modelData`, data values are
+// projected away) — into a fixed-layout bit stream:
 //
 //   * field widths are fixed per configuration (node ids in
 //     ceil(log2(P+2)) bits, txn markers in 8, masks in P bits, ...), so
@@ -26,11 +28,11 @@
 //     world are the same orders relabeled, so the minimum is an exact
 //     orbit representative.
 //
-// Two different worlds get equal encodings iff they got equal legacy
-// string keys (the codec tests check this against `LegacyCanonicalizer`
-// over sampled reachable states, and check orbit invariance directly),
-// which is what keeps the binary engine's state counts byte-identical to
-// the old engine's.
+// Two different worlds get equal encodings iff they got equal text keys
+// (the codec tests check this over sampled reachable states against the
+// text key, kept in `tests/legacy_key.hpp` as their oracle, and check
+// orbit invariance directly), which is what keeps the binary engine's
+// state counts byte-identical to the old engine's.
 #pragma once
 
 #include <cstddef>
@@ -41,64 +43,6 @@
 #include "mc/world.hpp"
 
 namespace lcdc::mc {
-
-/// A decoded canonical state, used by the round-trip property test
-/// (`encode(decode(e)) == e`).  Fields hold canonical (already renumbered
-/// / permuted) values, not raw protocol state.
-struct DecodedState {
-  struct Dir {
-    std::uint8_t state = 0;
-    std::uint32_t busyRequester = 0;
-    std::uint8_t busyReq = 0;
-    std::uint32_t cachedMask = 0;
-    std::uint16_t memVal = 0;  ///< modelData: 0 = absent, else value+1
-  };
-  struct Buffered {
-    std::uint8_t type = 0;
-    std::uint32_t requester = 0;
-    std::uint16_t txn = 0;
-  };
-  struct Mshr {
-    std::uint8_t req = 0;
-    bool replySeen = false;
-    bool invListKnown = false;
-    std::uint32_t acksMask = 0;
-    std::uint32_t earlyMask = 0;
-    bool hasPendingFwd = false;
-    std::uint8_t pendingFwdType = 0;
-    std::uint32_t pendingFwdRequester = 0;
-    std::uint16_t dataVal = 0;
-    std::vector<Buffered> buffered;
-  };
-  struct Line {
-    bool present = false;
-    std::uint8_t cstate = 0;
-    std::uint8_t astate = 0;
-    std::uint16_t ignoreFwdTxn = 0;
-    std::uint16_t dropInvTxn = 0;
-    std::uint16_t dataVal = 0;
-    std::uint16_t epochVal = 0;
-    bool hasMshr = false;
-    Mshr mshr;
-  };
-  struct Msg {
-    std::uint32_t dst = 0;
-    std::uint8_t type = 0;
-    std::uint32_t block = 0;
-    std::uint32_t src = 0;
-    std::uint32_t requester = 0;
-    std::uint8_t nackKind = 0;
-    std::uint8_t nackedReq = 0;
-    bool ignoreBufferedInv = false;
-    std::uint32_t invMask = 0;
-    std::uint16_t dataVal = 0;
-    std::uint16_t txn = 0;
-    std::uint16_t closesTxn = 0;
-  };
-  std::vector<Dir> dirs;     ///< one per block
-  std::vector<Line> lines;   ///< canonical cache-major, block-minor order
-  std::vector<Msg> flight;   ///< in canonical (sorted) order
-};
 
 /// Names the orbit representative `StateCodec::encode` picks under
 /// symmetry (2: signature-sorted processors; a digest without the tag
@@ -117,16 +61,8 @@ class StateCodec {
   /// scratch; one StateCodec must not be shared across threads.
   void encode(const World& w, std::vector<std::byte>& out);
 
-  /// Inverse of the layout, for the round-trip test.
-  [[nodiscard]] DecodedState decode(const std::byte* data,
-                                    std::size_t len) const;
-  /// Re-encode a decoded state (no canonicalization: the fields are
-  /// already canonical).  `encodeDecoded(decode(e)) == e` must hold.
-  void encodeDecoded(const DecodedState& d, std::vector<std::byte>& out) const;
-
  private:
   class BitWriter;
-  class BitReader;
 
   void encodeWithPerm(const World& w, const std::vector<NodeId>& perm,
                       const std::vector<NodeId>& inv,

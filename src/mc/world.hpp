@@ -73,10 +73,9 @@ struct World {
                                      proto::TxnCounter& txns);
 
 /// Symmetry reduction relabels at most this many processors; beyond it
-/// both canonicalizers (`StateCodec`, `LegacyCanonicalizer`) keep the
-/// identity.  The codec's cost grows with tie classes of identical
-/// processors (P! orders at worst, as in the initial world), the legacy
-/// key's with all P! relabelings.
+/// `StateCodec` (and the text key the codec tests keep as their oracle)
+/// keeps the identity.  The codec's cost grows with tie classes of
+/// identical processors (P! orders at worst, as in the initial world).
 inline constexpr NodeId kMaxSymmetryProcs = 6;
 
 }  // namespace lcdc::mc

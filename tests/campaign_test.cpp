@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <ostream>
 #include <string>
@@ -27,6 +26,7 @@
 #include "campaign/campaign.hpp"
 #include "campaign/minimize.hpp"
 #include "common/thread_pool.hpp"
+#include "temp_dir.hpp"
 #include "trace/serialize.hpp"
 #include "trace/trace.hpp"
 #include "verify/checkers.hpp"
@@ -213,14 +213,12 @@ TEST(Minimizer, MinimizedTraceReVerifiesOfflineWithTheSameChecker) {
 
   trace::Trace minTrace;
   (void)campaign::runCase(mr.spec, opts.maxEventsPerRun, &minTrace);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "lcdc_campaign_min.trace")
-          .string();
+  const test::TempDir dir("campaign_min");
+  const std::string path = dir.path + "/min.trace";
   trace::saveFileWithMeta(
       minTrace, path,
       {"campaign test reproducer", "signature: " + signature});
   const trace::Trace loaded = trace::loadFile(path);
-  std::remove(path.c_str());
 
   const verify::CheckReport report =
       verify::checkAll(loaded, proto::verifyConfigFor(mr.spec.sys));
@@ -229,9 +227,8 @@ TEST(Minimizer, MinimizedTraceReVerifiesOfflineWithTheSameChecker) {
 }
 
 TEST(Campaign, ArchivesFailingAndMinimizedTraces) {
-  const std::string outDir =
-      (std::filesystem::temp_directory_path() / "lcdc_campaign_out").string();
-  std::filesystem::remove_all(outDir);
+  const test::TempDir dir("campaign_out");
+  const std::string outDir = dir.path + "/out";
 
   campaign::CampaignConfig cfg;
   cfg.mutant = Mutant::ForwardStaleValue;
@@ -252,7 +249,6 @@ TEST(Campaign, ArchivesFailingAndMinimizedTraces) {
     const trace::Trace t = trace::loadFile(f.minimizedPath);
     EXPECT_FALSE(t.operations().empty() && t.serializations().empty());
   }
-  std::filesystem::remove_all(outDir);
 }
 
 // -- time-to-detection battery -----------------------------------------------

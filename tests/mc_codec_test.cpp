@@ -1,18 +1,15 @@
 // Differential tests for the binary canonical state codec (DESIGN.md §9).
 //
-// Two properties carry the binary engine's correctness argument:
-//
-//   1. Round-trip: `encodeDecoded(decode(e)) == e` for every encoding `e`
-//      of a reachable state — the bit layout loses nothing it stores.
-//   2. Key equivalence: two reachable worlds get equal binary encodings
-//      iff they get equal *legacy string* keys (the old engine's visited
-//      key, preserved verbatim in `legacy_key.hpp`).  This is the 1:1
-//      class correspondence that makes the binary engine's state counts
-//      provably byte-identical to the string engine's.
-//
-// Both are checked over >=10k states sampled from random reachable
-// prefixes (random walks from the initial world) at 2x1 and 3x2, with and
-// without symmetry reduction, and under --model-data.
+// Key equivalence carries the binary engine's correctness argument: two
+// reachable worlds get equal binary encodings iff they get equal *legacy
+// string* keys (the old engine's visited key, preserved verbatim in this
+// directory's `legacy_key.hpp` as the oracle).  This is the 1:1 class
+// correspondence that makes the binary engine's state counts provably
+// byte-identical to the string engine's; a field the encoding truncates
+// or two classes it collides show up as a mismatch in one direction.
+// It is checked over >=10k states sampled from random reachable prefixes
+// (random walks from the initial world) at 2x1 and 3x2, with and without
+// symmetry reduction, and under --model-data.
 //
 // The lossless frontier codec (`WorldCodec`) is pinned directly too:
 // `save(load(save(w))) == save(w)` on every reachable world of 2x1 and
@@ -32,7 +29,7 @@
 #include <vector>
 
 #include "common/expect.hpp"
-#include "mc/legacy_key.hpp"
+#include "legacy_key.hpp"
 #include "mc/model_checker.hpp"
 #include "mc/state_codec.hpp"
 #include "mc/tardis_model.hpp"
@@ -157,8 +154,8 @@ struct SampleStats {
   std::size_t distinctClasses = 0;
 };
 
-/// Walk `walks` random prefixes of length `steps`, checking round-trip and
-/// legacy/binary key equivalence at every visited state.  (void so the
+/// Walk `walks` random prefixes of length `steps`, checking legacy/binary
+/// key equivalence at every visited state.  (void so the
 /// fatal ASSERT_* macros are usable; results land in `out`.)
 void checkSampledStates(const mc::McConfig& cfg, std::size_t walks,
                         std::size_t steps, SampleStats* out) {
@@ -169,7 +166,6 @@ void checkSampledStates(const mc::McConfig& cfg, std::size_t walks,
   std::map<std::string, std::vector<std::byte>> legacyToBin;
   std::map<std::vector<std::byte>, std::string> binToLegacy;
   std::vector<std::byte> enc;
-  std::vector<std::byte> reenc;
   for (std::size_t wIdx = 0; wIdx < walks; ++wIdx) {
     proto::TxnCounter txns;
     mc::World w = mc::makeInitialWorld(cfg, txns);
@@ -179,12 +175,6 @@ void checkSampledStates(const mc::McConfig& cfg, std::size_t walks,
       stats.samples += 1;
 
       codec.encode(w, enc);
-      const mc::DecodedState dec =
-          codec.decode(enc.data(), enc.size());
-      codec.encodeDecoded(dec, reenc);
-      ASSERT_EQ(enc, reenc)
-          << "round-trip mismatch at walk " << wIdx << " step " << s;
-
       const std::string key = legacy.key(w);
       const auto itL = legacyToBin.find(key);
       if (itL != legacyToBin.end()) {
@@ -208,7 +198,7 @@ void checkSampledStates(const mc::McConfig& cfg, std::size_t walks,
   *out = stats;
 }
 
-TEST(StateCodec, RoundTripAndKeyEquivalenceTwoProcsOneBlock) {
+TEST(StateCodec, KeyEquivalenceTwoProcsOneBlock) {
   mc::McConfig cfg;
   cfg.numProcessors = 2;
   cfg.numBlocks = 1;
@@ -218,7 +208,7 @@ TEST(StateCodec, RoundTripAndKeyEquivalenceTwoProcsOneBlock) {
   EXPECT_GT(s.distinctClasses, 100u);
 }
 
-TEST(StateCodec, RoundTripAndKeyEquivalenceThreeProcsTwoBlocks) {
+TEST(StateCodec, KeyEquivalenceThreeProcsTwoBlocks) {
   mc::McConfig cfg;
   cfg.numProcessors = 3;
   cfg.numBlocks = 2;
@@ -228,7 +218,7 @@ TEST(StateCodec, RoundTripAndKeyEquivalenceThreeProcsTwoBlocks) {
   EXPECT_GT(s.distinctClasses, 500u);
 }
 
-TEST(StateCodec, RoundTripAndKeyEquivalenceWithSymmetry) {
+TEST(StateCodec, KeyEquivalenceWithSymmetry) {
   mc::McConfig cfg;
   cfg.numProcessors = 3;
   cfg.numBlocks = 2;
@@ -239,7 +229,7 @@ TEST(StateCodec, RoundTripAndKeyEquivalenceWithSymmetry) {
   EXPECT_GT(s.distinctClasses, 300u);
 }
 
-TEST(StateCodec, RoundTripAndKeyEquivalenceWithModelData) {
+TEST(StateCodec, KeyEquivalenceWithModelData) {
   mc::McConfig cfg;
   cfg.numProcessors = 2;
   cfg.numBlocks = 1;

@@ -20,22 +20,14 @@
 #include "common/expect.hpp"
 #include "mc/model_checker.hpp"
 #include "mc/spill.hpp"
+#include "temp_dir.hpp"
 
 namespace lcdc {
 namespace {
 
 namespace fs = std::filesystem;
 
-/// Fresh scratch directory, removed on scope exit.
-struct TempDir {
-  explicit TempDir(const std::string& tag)
-      : path((fs::temp_directory_path() / ("lcdc_ooc_" + tag)).string()) {
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() { fs::remove_all(path); }
-  std::string path;
-};
+using test::TempDir;
 
 mc::McConfig baseConfig(NodeId procs, BlockId blocks) {
   mc::McConfig cfg;
@@ -796,10 +788,11 @@ TEST(SpillHygiene, UnderstatedBoundsInABitstateCheckpointRaiseSimError) {
 }
 
 TEST(SpillHygiene, MissingCheckpointDirectoryRaisesSimError) {
+  TempDir dir("nodir");
   mc::McConfig cfg = baseConfig(2, 1);
-  cfg.resumeDir = (fs::temp_directory_path() / "lcdc_ooc_nodir").string();
-  fs::remove_all(cfg.resumeDir);
+  cfg.resumeDir = dir.path + "/missing";
   EXPECT_THROW((void)mc::explore(cfg), SimError);
+  EXPECT_FALSE(fs::exists(cfg.resumeDir)) << "a failed resume left a directory";
 }
 
 TEST(SpillHygiene, ConflictingDirectoriesRaiseSimError) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "mc/model_checker.hpp"
@@ -442,6 +443,8 @@ struct GoldenCase {
   std::uint64_t transitions;
   std::uint64_t frontierPeak;
   std::uint64_t waves;
+  /// States expanded through an ample set, where a row pins it.
+  std::optional<std::uint64_t> ampleStates = std::nullopt;
 };
 
 TEST(GoldenCounts, MatchTheStringEngine) {
@@ -457,6 +460,8 @@ TEST(GoldenCounts, MatchTheStringEngine) {
       {3, 1, true, false, false, 12, 1814, 7229, 664, 12},
       {3, 1, false, true, false, 12, 10508, 41661, 3909, 12},
       {3, 1, true, true, false, 12, 1814, 7204, 664, 12},
+      // Uncapped POR, so an ample choice made in any wave moves a count.
+      {3, 1, true, true, false, 0, 30537, 113215, 2455, 41, 313},
       {2, 2, false, false, false, 10, 11034, 58992, 4980, 10},
       {2, 2, true, true, false, 10, 5530, 29570, 2490, 10},
       {3, 2, true, true, false, 8, 4833, 41424, 2858, 8},
@@ -483,6 +488,9 @@ TEST(GoldenCounts, MatchTheStringEngine) {
     EXPECT_EQ(r.transitions, g.transitions) << label;
     EXPECT_EQ(r.frontierPeak, g.frontierPeak) << label;
     EXPECT_EQ(r.wavesCompleted, g.waves) << label;
+    if (g.ampleStates) {
+      EXPECT_EQ(r.ampleStates, *g.ampleStates) << label;
+    }
     EXPECT_TRUE(r.ok()) << label;
   }
 }

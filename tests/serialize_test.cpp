@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/expect.hpp"
+#include "temp_dir.hpp"
 #include "testutil.hpp"
 #include "trace/serialize.hpp"
 
@@ -136,7 +137,8 @@ TEST(Serialize, MalformedInputIsRejected) {
 
 TEST(Serialize, FileHelpersWork) {
   const Trace original = makeRealTrace();
-  const std::string path = testing::TempDir() + "/lcdc_trace_test.txt";
+  const test::TempDir dir("serialize");
+  const std::string path = dir.path + "/trace.txt";
   saveFile(original, path);
   const Trace reloaded = loadFile(path);
   EXPECT_EQ(reloaded.operations().size(), original.operations().size());

@@ -22,6 +22,7 @@
 #include "dsm/wire.hpp"
 #include "proto/messages.hpp"
 #include "sim/system.hpp"
+#include "temp_dir.hpp"
 #include "trace/codec.hpp"
 #include "trace/serialize.hpp"
 #include "trace/trace.hpp"
@@ -350,9 +351,9 @@ TEST(BinaryTrace, StreamRoundTripPreservesEveryRecord) {
 
 TEST(BinaryTrace, FileLayerAutodetectsBothFormats) {
   const trace::Trace t = simulatedTrace();
-  const std::string dir = ::testing::TempDir();
-  const std::string binPath = dir + "/wire_test_bin.trace";
-  const std::string txtPath = dir + "/wire_test_txt.trace";
+  const test::TempDir dir("wire");
+  const std::string binPath = dir.path + "/bin.trace";
+  const std::string txtPath = dir.path + "/txt.trace";
   trace::saveFileBinary(t, binPath);
   trace::saveFile(t, txtPath);
   EXPECT_EQ(traceText(trace::loadFile(binPath)), traceText(t));
